@@ -10,12 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-
-Rational = Fraction
-
-Coefficient = Union[Fraction, "MPolynomial"]
 
 
 def _strip_trailing_zeros(coeffs):
@@ -49,6 +43,32 @@ def _format_poly(coeffs, var):
     for sign, body in pieces[1:]:
         out += sign + body
     return out
+
+
+def power_of(var, power):
+    """'' for power 0, 'u' for 1 and 'u^k' above."""
+    if power == 0:
+        return ""
+    return var if power == 1 else f"{var}^{power}"
+
+
+def format_terms(pieces):
+    """Join (negative, body, unit) pieces like '(4M^2+4M)u^2 - 2Mu^3'.
+
+    body is the magnitude's text; it is parenthesized when it holds a sign
+    past its first character. The first piece's sign folds into the text,
+    later signs stand between spaces.
+    """
+    out = ""
+    for negative, body, unit in pieces:
+        if "+" in body or "-" in body[1:]:
+            body = f"({body})"
+        if out:
+            out += " - " if negative else " + "
+        elif negative:
+            out = "-"
+        out += body + unit
+    return out or "0"
 
 
 @dataclass(frozen=True)
@@ -115,9 +135,8 @@ class DimPolynomial:
     __rmul__ = __mul__
 
     def eval_at(self, x):
-        """Exact Horner evaluation at a rational (or integer) point."""
-        x = Fraction(x)
-        acc = Fraction(0)
+        """Exact Horner evaluation; an integer point gives an int."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -164,15 +183,16 @@ class MPolynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, MPolynomial):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return not self.coeffs
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
-        return NotImplemented
+            other = MPolynomial((other,))
+        if not isinstance(other, MPolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant polynomial equals its scalar, so it hashes like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(self.coeffs)
 
     def __add__(self, other):
@@ -218,8 +238,7 @@ class MPolynomial:
     __rmul__ = __mul__
 
     def eval_at(self, m):
-        m = Fraction(m)
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * m + c
         return acc
@@ -238,34 +257,15 @@ class MPolynomial:
         return cls(Fraction(s) for s in data)
 
 
-def _as_coefficient(value):
-    if isinstance(value, MPolynomial):
-        return value
-    return Fraction(value)
-
-
-def _coeff_is_zero(value):
-    if isinstance(value, MPolynomial):
-        return not value.coeffs
-    return value == 0
-
-
-def _coeff_eq(a, b):
-    if isinstance(a, MPolynomial) or isinstance(b, MPolynomial):
-        if not isinstance(a, MPolynomial):
-            a = MPolynomial((a,)) if a != 0 else MPolynomial()
-        return a == b
-    return a == b
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Power series in u known only through u^cap.
 
-    Coefficients are Fractions or MPolynomials (mixing is allowed; sums and
-    products promote as needed). Powers above cap are semantically unknown,
-    not zero: arithmetic truncates to the smaller cap and coefficient() for
-    a power above cap raises rather than returning 0.
+    Coefficients are Fractions (entry moments) or MPolynomials (trace
+    moments); the two compare and hash equal where their values agree.
+    Powers above cap are semantically unknown, not zero: arithmetic
+    truncates to the smaller cap and coefficient() for a power above cap
+    raises rather than returning 0.
     """
 
     cap: int
@@ -275,7 +275,8 @@ class TruncatedSeries:
         cap = int(cap)
         if cap < 0:
             raise ValueError("truncation cap must be >= 0")
-        terms = [_as_coefficient(t) for t in terms]
+        terms = [t if isinstance(t, MPolynomial) else Fraction(t)
+                 for t in terms]
         if len(terms) > cap + 1:
             raise ValueError("more terms than the cap allows")
         terms += [Fraction(0)] * (cap + 1 - len(terms))
@@ -306,9 +307,7 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.cap == other.cap and all(
-            _coeff_eq(a, b) for a, b in zip(self.terms, other.terms)
-        )
+        return self.cap == other.cap and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.cap, self.terms))
@@ -330,11 +329,11 @@ class TruncatedSeries:
         out = [Fraction(0)] * (cap + 1)
         for i in range(cap + 1):
             a = self.terms[i]
-            if _coeff_is_zero(a):
+            if a == 0:
                 continue
             for j in range(cap + 1 - i):
                 b = other.terms[j]
-                if _coeff_is_zero(b):
+                if b == 0:
                     continue
                 out[i + j] = out[i + j] + a * b
         return TruncatedSeries(cap, out)
@@ -346,7 +345,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.cap, [t * c for t in self.terms])
 
     def is_zero(self):
-        return all(_coeff_is_zero(t) for t in self.terms)
+        return all(t == 0 for t in self.terms)
 
     def eval_at(self, u, m=None):
         """Exact value of the truncated sum at u (and M=m where needed)."""
@@ -380,23 +379,3 @@ class TruncatedSeries:
             else:
                 terms.append(Fraction(item))
         return cls(data["cap"], terms)
-
-
-def poly_add(a, b):
-    """Coefficient-wise exact sum, canonical form."""
-    return a + b
-
-
-def poly_eval(p, x):
-    """Exact Horner evaluation of a polynomial at a rational point."""
-    return p.eval_at(x)
-
-
-def series_mul(a, b):
-    """Cauchy product truncated at the smaller cap."""
-    return a * b
-
-
-def series_scale(a, c):
-    """Term-wise scaling by an exact rational."""
-    return a.scale(c)

@@ -4,7 +4,8 @@ Four subcommands: jpoly (cycle polynomials per delta pattern), moment
 (entry-moment series), trace (block trace-moment series), verify (built-in
 check suites, including the Monte Carlo cross-check). Results go to stdout,
 diagnostics to stderr; --json switches to machine output. Worker count
-comes from --workers or the CEMOMENTS_WORKERS environment variable.
+comes from --workers or the CEMOMENTS_WORKERS environment variable. Input
+the engine rejects with a ValueError prints "error: ..." and exits 2.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import sys
 
 from . import montecarlo
+from .algebra import format_terms, power_of
 from .moments import cancellation_report, moment_series
 from .partitions import normalize_partition
 from .traces import trace_moment
@@ -45,33 +47,20 @@ def _default_workers():
         return 1
 
 
-def _fraction_term(c, power):
-    u_txt = "u" if power == 1 else f"u^{power}"
-    mag = abs(c)
-    if mag == 1:
-        return u_txt
-    if mag.denominator != 1:
-        return f"({mag}){u_txt}"
-    return f"{mag}{u_txt}"
-
-
 def format_pattern_series(series, n):
     """Plain rendering like 'u + 0u^2 + 0u^3 + 0u^4', leading order first."""
     pieces = []
     for power in range(n, series.cap + 1):
         c = series.coefficient(power)
-        if c == 0:
-            u_txt = "u" if power == 1 else f"u^{power}"
-            pieces.append(("+", f"0{u_txt}"))
+        mag = abs(c)
+        if mag == 1:
+            body = ""
+        elif mag.denominator != 1:
+            body = f"({mag})"
         else:
-            pieces.append(("-" if c < 0 else "+", _fraction_term(c, power)))
-    if not pieces:
-        return "0"
-    sign, body = pieces[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+            body = str(mag)
+        pieces.append((c < 0, body, power_of("u", power)))
+    return format_terms(pieces)
 
 
 def _grouped(values):
@@ -95,13 +84,9 @@ def cmd_jpoly(args):
 
 def cmd_moment(args):
     cap = args.cap if args.cap is not None else args.n + 3
-    try:
-        ms = moment_series(
-            ExternalSpec(beta=args.beta, n=args.n), cap, workers=args.workers
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ms = moment_series(
+        ExternalSpec(beta=args.beta, n=args.n), cap, workers=args.workers
+    )
     if args.json:
         print(json.dumps(ms.to_json(N=args.N)))
         return 0
@@ -121,24 +106,14 @@ def cmd_moment(args):
 
 
 def cmd_trace(args):
+    if (args.M is None) != (args.N is None):
+        raise ValueError("numeric evaluation needs both --M and --N")
     mu = args.mu if args.mu is not None else args.lam
     n = sum(args.lam)
     cap = args.cap if args.cap is not None else max(4, n + 1)
-    try:
-        result = trace_moment(args.lam, mu, cap, workers=args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if (args.M is None) != (args.N is None):
-        print("error: numeric evaluation needs both --M and --N",
-              file=sys.stderr)
-        return 2
+    result = trace_moment(args.lam, mu, cap, workers=args.workers)
     if args.M is not None:
-        try:
-            value = result.value_at(args.N, args.M)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        value = result.value_at(args.N, args.M)
     if args.json:
         data = result.to_json()
         if args.M is not None:
@@ -270,11 +245,7 @@ def cmd_verify(args):
         to_run = list(suites.values())
     else:
         to_run = [suites[args.suite]]
-    try:
-        failures = sum(fn(args, emit) for fn in to_run)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    failures = sum(fn(args, emit) for fn in to_run)
     if not args.json:
         print("all checks passed" if failures == 0
               else f"{failures} check(s) FAILED")
@@ -347,7 +318,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,12 +12,6 @@ structure lam and c closed cycles carries (1/z)(-1/2)^len (-1)^c at order
 n + rank(lam), which is what evaluating j at d = -1 sums up. d is always
 substituted after the whole polynomial is assembled; substituting earlier
 would silently break the cancellations between strata of equal rank.
-
-beta=4 constants (u = 1/(2N-1), d = 1/2) are recorded, and series can be
-assembled through the twisted enumeration with weight
-(-1)^len * 2^(n+|lam|) / z_lam, but only behind experimental=True: the
-twist-sign rules for the quaternion case are not pinned by anything this
-package can check, so no correctness claim is made.
 """
 
 from __future__ import annotations
@@ -27,57 +21,62 @@ from fractions import Fraction
 
 from .algebra import TruncatedSeries
 from .partitions import partitions_no_ones_up_to_rank, rank, z_weight
-from .wick import ExternalSpec, get_diagram_sum
-
-_ENSEMBLES = {
-    1: ("COE", Fraction(-1), "N+1"),
-    2: ("CUE", Fraction(0), "N"),
-    4: ("CSE", Fraction(1, 2), "2N-1"),
-}
+from .wick import get_diagram_sum
 
 
 @dataclass(frozen=True)
 class EnsembleParams:
     beta: int
     name: str
-    d_value: Fraction
+    d_value: int
     omega_text: str
+    omega_shift: int  # Omega = N + omega_shift
+    vertex_weight: Fraction  # stratum weight per part of lam, before 1/z_lam
 
     @classmethod
     def for_beta(cls, beta):
         if beta not in _ENSEMBLES:
             raise ValueError(f"beta must be one of {sorted(_ENSEMBLES)}")
-        name, d_value, omega_text = _ENSEMBLES[beta]
-        return cls(beta=beta, name=name, d_value=d_value,
-                   omega_text=omega_text)
+        return _ENSEMBLES[beta]
 
     def omega_of_N(self, N):
-        # N+1 / N / 2N-1: the parameter whose inverse powers the series.
-        # For beta=1 this is twice (beta/2)(N-1)+1; the half-strength
-        # per-edge weights used in stratum_coefficient absorb exactly that
-        # factor, so the two parameterizations agree on every moment value.
+        # N+1 / N: the parameter whose inverse powers the series. For beta=1
+        # this is twice (beta/2)(N-1)+1; the half-strength per-part weight
+        # absorbs exactly that factor, so the two parameterizations agree on
+        # every moment value.
         if N < 1:
             raise ValueError("N must be >= 1")
-        return {1: N + 1, 2: N, 4: 2 * N - 1}[self.beta]
+        return N + self.omega_shift
 
     def u_of_N(self, N):
         return Fraction(1, self.omega_of_N(N))
 
 
-def stratum_coefficient(beta, lam, pattern_poly, n=None):
+_ENSEMBLES = {
+    1: EnsembleParams(1, "COE", -1, "N+1", 1, Fraction(-1, 2)),
+    2: EnsembleParams(2, "CUE", 0, "N", 0, Fraction(-1)),
+}
+
+
+def stratum_coefficient(beta, lam, pattern_poly):
     """Exact scalar multiplying u^(n+rank(lam)) for one pattern."""
-    params = EnsembleParams.for_beta(beta)
-    length = len(lam)
+    params = _ENSEMBLES[beta]
     value = pattern_poly.eval_at(params.d_value)
-    if beta == 1:
-        weight = Fraction(-1, 2) ** length
-    elif beta == 2:
-        weight = Fraction(-1) ** length
-    else:
-        if n is None:
-            raise ValueError("beta=4 weight depends on n")
-        weight = Fraction(-1) ** length * Fraction(2) ** (n + sum(lam))
-    return weight * value / z_weight(lam)
+    return params.vertex_weight ** len(lam) * value / z_weight(lam)
+
+
+def weighted_patterns(beta, n, max_rank, workers=1):
+    """Walk every vertex stratum lam with rank(lam) <= max_rank.
+
+    Yields (rank(lam), pattern, stratum_coefficient) for each delta pattern
+    of the stratum's diagram sum: the one loop behind entry moments,
+    cancellation reports and trace moments.
+    """
+    for lam in partitions_no_ones_up_to_rank(max_rank):
+        r = rank(lam)
+        ds = get_diagram_sum(beta, n, lam, workers=workers)
+        for pattern, poly in ds.pattern_map.items():
+            yield r, pattern, stratum_coefficient(beta, lam, poly)
 
 
 @dataclass(frozen=True)
@@ -106,53 +105,24 @@ class MomentSeries:
         return out
 
 
-def moment_series(spec, order_cap, workers=1, ensemble_beta=None,
-                  experimental=False):
-    """Sum the vertex strata of an entry-moment expansion up to order_cap.
-
-    spec.beta picks the enumeration (twisted or not); ensemble_beta, when
-    given, picks the constants and weights instead. The only sanctioned
-    mismatch is ensemble_beta=4 over a twisted (spec.beta=1) enumeration,
-    and that requires experimental=True.
-    """
-    beta, n = spec.beta, spec.n
-    ensemble_beta = beta if ensemble_beta is None else ensemble_beta
-    if ensemble_beta == 4:
-        if beta != 1:
-            raise ValueError("beta=4 series run on the twisted enumeration; "
-                             "use spec.beta=1")
-        if not experimental:
-            raise ValueError(
-                "beta=4 series use unchecked twist-sign rules; pass "
-                "experimental=True to accept that"
-            )
-    elif ensemble_beta != beta:
-        raise ValueError("ensemble_beta other than 4 must match spec.beta")
+def moment_series(spec, order_cap, workers=1):
+    """Sum the vertex strata of an entry-moment expansion up to order_cap."""
+    n = spec.n
     if order_cap < n:
         raise ValueError(
             f"cap {order_cap} is below the leading order u^{n}"
         )
-    params = EnsembleParams.for_beta(ensemble_beta)
     per_pattern = {}
-    for lam in partitions_no_ones_up_to_rank(order_cap - n):
-        power = n + rank(lam)
-        ds = get_diagram_sum(beta, n, lam, workers=workers)
-        for pattern, poly in ds.pattern_map.items():
-            coeff = stratum_coefficient(ensemble_beta, lam, poly, n=n)
-            if pattern not in per_pattern:
-                per_pattern[pattern] = [Fraction(0)] * (order_cap + 1)
-            per_pattern[pattern][power] += coeff
+    for r, pattern, coeff in weighted_patterns(spec.beta, n, order_cap - n,
+                                               workers):
+        terms = per_pattern.setdefault(pattern, [0] * (order_cap + 1))
+        terms[n + r] += coeff
     pattern_map = {
         p: TruncatedSeries(order_cap, terms)
         for p, terms in sorted(per_pattern.items())
     }
-    return MomentSeries(params=params, n=n, cap=order_cap,
-                        pattern_map=pattern_map)
-
-
-def evaluate_at_N(ms, N):
-    """Substitute u = 1/Omega(N); exact rational per pattern."""
-    return ms.evaluate_at(N)
+    return MomentSeries(params=EnsembleParams.for_beta(spec.beta), n=n,
+                        cap=order_cap, pattern_map=pattern_map)
 
 
 def cancellation_report(n, max_rank, beta=1, workers=1):
@@ -162,13 +132,8 @@ def cancellation_report(n, max_rank, beta=1, workers=1):
     mechanism making the one-point function exact.
     """
     by_rank = {}
-    for lam in partitions_no_ones_up_to_rank(max_rank):
-        r = rank(lam)
-        if r == 0:
-            continue
-        ds = get_diagram_sum(beta, n, lam, workers=workers)
-        bucket = by_rank.setdefault(r, {})
-        for pattern, poly in ds.pattern_map.items():
-            coeff = stratum_coefficient(beta, lam, poly, n=n)
-            bucket[pattern] = bucket.get(pattern, Fraction(0)) + coeff
+    for r, pattern, coeff in weighted_patterns(beta, n, max_rank, workers):
+        if r:
+            bucket = by_rank.setdefault(r, {})
+            bucket[pattern] = bucket.get(pattern, 0) + coeff
     return {r: dict(sorted(v.items())) for r, v in sorted(by_rank.items())}

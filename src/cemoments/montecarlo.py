@@ -14,11 +14,13 @@ fixed (seed, sample_count, batch_count) regardless of worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
+
+from .moments import EnsembleParams
 
 GENERATOR_NAME = "PCG64"
 
@@ -144,6 +146,7 @@ def estimate_moment(cfg, observable, workers=1):
         (cfg.ensemble, cfg.N, sizes[b], children[b], observable)
         for b in range(cfg.batch_count)
     ]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         means = [_batch_mean(*job) for job in jobs]
     else:
@@ -214,22 +217,11 @@ def compare(symbolic, estimate, sigma_tol=4.0, trunc_bound=0.0,
     )
 
 
-def _max_abs_coefficient(series):
-    top = Fraction(0)
-    for k in range(series.cap + 1):
-        c = series.terms[k]
-        if isinstance(c, Fraction):
-            top = max(top, abs(c))
-        else:
-            for f in c.coeffs:
-                top = max(top, abs(f))
-    return top
-
-
 def trace_truncation_allowance(result, N, M):
     """C * u^(cap+1) * M^min(cap+1, 2n) with C the largest coefficient."""
     series = result.series
-    c = _max_abs_coefficient(series)
+    c = max((abs(f) for poly in series.terms for f in poly.coeffs),
+            default=0)
     n = result.n
     k1 = series.cap + 1
     u = 1.0 / (N + 1)
@@ -238,6 +230,6 @@ def trace_truncation_allowance(result, N, M):
 
 def entry_truncation_allowance(series, N, beta=1):
     """C * u^(cap+1) for an entry-moment pattern series."""
-    c = _max_abs_coefficient(series)
-    omega = {1: N + 1, 2: N, 4: 2 * N - 1}[beta]
-    return float(c) * (1.0 / omega) ** (series.cap + 1)
+    c = max(abs(t) for t in series.terms)
+    u = float(EnsembleParams.for_beta(beta).u_of_N(N))
+    return float(c) * u ** (series.cap + 1)

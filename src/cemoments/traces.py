@@ -21,15 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .algebra import MPolynomial, TruncatedSeries, _format_poly
-from .partitions import (
-    normalize_partition,
-    partitions_no_ones_up_to_rank,
-    permutation_of_type,
-    rank,
-    z_weight,
+from .algebra import (
+    MPolynomial,
+    TruncatedSeries,
+    _format_poly,
+    format_terms,
+    power_of,
 )
-from .wick import get_diagram_sum
+from .moments import weighted_patterns
+from .partitions import normalize_partition, permutation_of_type
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ class TraceMomentResult:
         return sum(self.query.lam)
 
     def value_at(self, N, M):
+        if N < 1 or M < 0:
+            raise ValueError("need matrix size N >= 1 and block size M >= 0")
         if M > N:
             raise ValueError("block size M cannot exceed N")
         return self.series.eval_at(Fraction(1, N + 1), m=M)
@@ -68,26 +70,10 @@ class TraceMomentResult:
         pieces = []
         for k in range(self.n, self.query.cap + 1):
             poly = self.series.coefficient(k)
-            u_txt = "u" if k == 1 else f"u^{k}"
-            if isinstance(poly, Fraction) or not poly:
-                pieces.append(("+", f"0{u_txt}"))
-                continue
-            body = str(poly)
-            sign = "+"
-            if body.startswith("-"):
-                sign = "-"
-                body = str(-poly)
-            if "+" in body or "-" in body[1:]:
-                pieces.append((sign, f"({body}){u_txt}"))
-            else:
-                pieces.append((sign, f"{body}{u_txt}"))
-        if not pieces:
-            return "0"
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            negative = poly.coefficient(poly.degree) < 0
+            pieces.append((negative, str(-poly if negative else poly),
+                           power_of("u", k)))
+        return format_terms(pieces)
 
     def to_json(self):
         data = {
@@ -97,7 +83,7 @@ class TraceMomentResult:
             "series": [
                 {
                     "u_power": k,
-                    "M_poly": _poly_json(self.series.coefficient(k)),
+                    "M_poly": self.series.coefficient(k).to_json(),
                 }
                 for k in range(self.query.cap + 1)
             ],
@@ -105,14 +91,6 @@ class TraceMomentResult:
         if self.selection_rule_zero:
             data["selection_rule"] = "|lambda| != |mu| forces an exact zero"
         return data
-
-
-def _poly_json(coeff):
-    if isinstance(coeff, MPolynomial):
-        return coeff.to_json()
-    if coeff == 0:
-        return []
-    return [str(coeff)]
 
 
 def _variable_ties(perm):
@@ -160,29 +138,22 @@ def trace_moment(lam, mu, cap, workers=1):
         # phase invariance: z and z-bar counts must match, term by term
         return TraceMomentResult(
             query=query,
-            series=TruncatedSeries.zero(cap),
+            series=TruncatedSeries(cap, [MPolynomial()] * (cap + 1)),
             selection_rule_zero=True,
         )
     varz = _variable_ties(permutation_of_type(lam, n))
     varbar = _variable_ties(permutation_of_type(mu, n))
     coeffs = [dict() for _ in range(cap + 1)]
-    for vertex in partitions_no_ones_up_to_rank(cap - n):
-        power = n + rank(vertex)
-        weight = Fraction(-1, 2) ** len(vertex) / z_weight(vertex)
-        ds = get_diagram_sum(1, n, vertex, workers=workers)
-        for pattern, poly in ds.pattern_map.items():
-            val = poly.eval_at(-1)
-            if val == 0:
-                continue
-            k = index_cycle_count(pattern, varz, varbar)
-            bucket = coeffs[power]
-            bucket[k] = bucket.get(k, Fraction(0)) + weight * val
+    for r, pattern, coeff in weighted_patterns(1, n, cap - n, workers):
+        if coeff == 0:
+            continue
+        k = index_cycle_count(pattern, varz, varbar)
+        bucket = coeffs[n + r]
+        bucket[k] = bucket.get(k, 0) + coeff
     terms = []
     for power, bucket in enumerate(coeffs):
         top = max(bucket) if bucket else 0
-        poly = MPolynomial(
-            bucket.get(j, Fraction(0)) for j in range(top + 1)
-        )
+        poly = MPolynomial(bucket.get(j, 0) for j in range(top + 1))
         if poly.degree > power:
             raise AssertionError(
                 "index cycles exceeded the series order; the M-degree bound "
@@ -203,17 +174,13 @@ def _large_m_coefficients(series, n_start, xi_power=False):
 
     u^k M^j becomes u^(k-j) (1-u)^j, never a negative power here because
     coefficients at u^k have M-degree <= k. Entry m of the result is the
-    u^m coefficient: a Fraction, or a tuple of Fraction by xi-power when
-    xi_power is set.
+    u^m coefficient as a dict from xi-power to Fraction; every value sits at
+    key 0 unless xi_power is set.
     """
     cap = series.cap
     out = [dict() for _ in range(cap + 1)]
     for k in range(n_start, cap + 1):
         poly = series.coefficient(k)
-        if isinstance(poly, Fraction):
-            if poly != 0:
-                raise AssertionError("bare rational coefficient in M-series")
-            continue
         for j in range(0, poly.degree + 1):
             c = poly.coefficient(j)
             if c == 0:
@@ -262,47 +229,40 @@ def regime_asymptotics(lam, mu, regime, cap=None, workers=1):
     if result.selection_rule_zero:
         return RegimeReport(regime=regime, leading="0", indeterminate=False,
                             cap=cap, final_below=cap + 1)
+    leading = None
     if regime == "fixed-M":
+        final_below = cap + 1
         for k in range(n, cap + 1):
             poly = result.series.coefficient(k)
-            if isinstance(poly, MPolynomial) and poly:
-                body = str(poly)
-                if "+" in body or "-" in body[1:]:
-                    body = f"({body})"
-                tail = "/N" if k == 1 else f"/N^{k}"
-                return RegimeReport(regime=regime, leading=body + tail,
-                                    indeterminate=False, cap=cap,
-                                    final_below=cap + 1)
+            if poly:
+                leading = (str(poly), k)
+                break
+    else:
+        final_below = max(0, cap + 1 - 2 * n)
+        with_xi = regime == "M=xiN"
+        subbed = _large_m_coefficients(result.series, n, xi_power=with_xi)
+        for m in range(final_below):
+            bucket = {k: v for k, v in subbed[m].items() if v != 0}
+            if not bucket:
+                continue
+            if with_xi:
+                body = _format_poly(
+                    [bucket.get(j, 0) for j in range(max(bucket) + 1)], "xi"
+                )
+            else:
+                body = str(bucket[0])
+            leading = (body, m)
+            break
+    if leading is None:
         return RegimeReport(regime=regime,
                             leading="indeterminate at this cap",
-                            indeterminate=True, cap=cap, final_below=cap + 1)
-    threshold = max(0, cap + 1 - 2 * n)
-    with_xi = regime == "M=xiN"
-    subbed = _large_m_coefficients(result.series, n, xi_power=with_xi)
-    for m in range(threshold):
-        bucket = {k: v for k, v in subbed[m].items() if v != 0}
-        if not bucket:
-            continue
-        if with_xi:
-            top = max(bucket)
-            body = _format_poly(
-                [bucket.get(j, Fraction(0)) for j in range(top + 1)], "xi"
-            )
-            if "+" in body or "-" in body[1:]:
-                body = f"({body})"
-        else:
-            body = str(bucket[0])
-        if m == 0:
-            leading = body
-        elif m == 1:
-            leading = f"{body}/N"
-        else:
-            leading = f"{body}/N^{m}"
-        return RegimeReport(regime=regime, leading=leading,
-                            indeterminate=False, cap=cap,
-                            final_below=threshold)
-    return RegimeReport(regime=regime, leading="indeterminate at this cap",
-                        indeterminate=True, cap=cap, final_below=threshold)
+                            indeterminate=True, cap=cap,
+                            final_below=final_below)
+    body, power = leading
+    tail = f"/{power_of('N', power)}" if power else ""
+    return RegimeReport(regime=regime,
+                        leading=format_terms([(False, body, tail)]),
+                        indeterminate=False, cap=cap, final_below=final_below)
 
 
 def large_n_limit(lam, workers=1):
@@ -319,9 +279,7 @@ def large_n_limit(lam, workers=1):
         series = trace_moment(lam, lam, cap, workers=workers).series
         total = Fraction(0)
         for k in range(n, cap + 1):
-            poly = series.coefficient(k)
-            if isinstance(poly, MPolynomial):
-                total += poly.coefficient(k)
+            total += series.coefficient(k).coefficient(k)
         return total
 
     first = u0(n + 1)

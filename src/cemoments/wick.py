@@ -38,11 +38,12 @@ are bit-identical for any worker count.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .algebra import DimPolynomial
-from .partitions import normalize_partition, rank
+from .partitions import normalize_partition
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,6 @@ class SlotGraph:
     factor_count: int
     trace_from_z: tuple
     trace_from_zbar: tuple
-
-    @property
-    def edge_count(self):
-        return self.factor_count
-
-    @property
-    def external_slot_count(self):
-        return 2 * self.n
 
 
 def build_slot_graph(spec, lam):
@@ -148,9 +141,6 @@ class DiagramSum:
     vertex_type: tuple
     edge_count: int
     pattern_map: dict = field(compare=False)
-
-    def patterns(self):
-        return list(self.pattern_map)
 
     def to_json(self):
         return {
@@ -242,11 +232,12 @@ def enumerate_wick(graph, workers=1, validate=False):
     """Enumerate every pairing (and twist, for beta=1) of the slot graph."""
     F = graph.factor_count
     args = (graph.beta, graph.n, graph.trace_from_zbar, F)
-    if workers <= 1 or F == 1:
+    workers = min(workers, F, os.cpu_count() or 1)
+    if workers <= 1:
         counts = _enumerate_chunk(*args, list(range(F)), validate)
     else:
         counts = {}
-        with ProcessPoolExecutor(max_workers=min(workers, F)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_enumerate_chunk, *args, [g0], validate)
                 for g0 in range(F)
@@ -270,13 +261,12 @@ _diagram_cache = {}
 
 
 def get_diagram_sum(beta, n, lam, workers=1):
-    """Cached enumeration. beta=4 reuses the twisted (beta=1) enumeration."""
+    """Cached enumeration, keyed by (beta, n, lam)."""
     lam = normalize_partition(lam, allow_ones=False)
-    enum_beta = 2 if beta == 2 else 1
-    key = (enum_beta, n, lam)
+    key = (beta, n, lam)
     cached = _diagram_cache.get(key)
     if cached is None:
-        graph = build_slot_graph(ExternalSpec(beta=enum_beta, n=n), lam)
+        graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
         cached = enumerate_wick(graph, workers=workers)
         _diagram_cache[key] = cached
     return cached

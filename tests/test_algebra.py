@@ -213,3 +213,41 @@ def test_series_mul_commutes(a, b):
     sb = TruncatedSeries(cap, b[: cap + 1])
     assert sa * sb == sb * sa
     assert sa + sb == sb + sa
+
+
+def _coefficient_forms(draw_ints):
+    """Equal values in every representation a series coefficient can take."""
+    coeffs = [Fraction(n, d) for n, d in draw_ints]
+    forms = [MPolynomial(coeffs)]
+    if len(MPolynomial(coeffs).coeffs) <= 1:
+        value = coeffs[0] if coeffs else Fraction(0)
+        forms.append(value)
+        if value.denominator == 1:
+            forms.append(int(value))
+    return forms
+
+
+small_fractions = st.tuples(st.integers(-2, 2), st.integers(1, 2))
+coefficient = st.lists(small_fractions, max_size=2).flatmap(
+    lambda c: st.sampled_from(_coefficient_forms(c))
+)
+hashable_value = st.one_of(
+    coefficient,
+    st.lists(coefficient, max_size=3).map(
+        lambda terms: TruncatedSeries(2, terms)
+    ),
+)
+
+
+def test_equal_constants_hash_equal():
+    assert len({MPolynomial((5,)), 5}) == 1
+    assert hash(MPolynomial()) == hash(0)
+    assert hash(TruncatedSeries(1, [0, MPolynomial()])) == hash(
+        TruncatedSeries(1, [0, 0])
+    )
+
+
+@given(hashable_value, hashable_value)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)

@@ -220,6 +220,19 @@ def test_trace_block_larger_than_matrix(capsys):
     assert "block size M cannot exceed N" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["jpoly", "--lambda", "2", "--n", "0"],
+    ["moment", "--N", "0"],
+    ["trace", "--lambda", "2", "--M", "-3", "--N", "-1"],
+    ["trace", "--lambda", "2", "--M", "-1", "--N", "2"],
+])
+def test_bad_numeric_input_exits_2_with_message(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------

@@ -8,7 +8,6 @@ from cemoments.algebra import TruncatedSeries
 from cemoments.moments import (
     EnsembleParams,
     cancellation_report,
-    evaluate_at_N,
     moment_series,
     stratum_coefficient,
 )
@@ -23,16 +22,15 @@ def test_ensemble_params_table():
     assert (coe.name, coe.d_value, coe.omega_text) == ("COE", -1, "N+1")
     cue = EnsembleParams.for_beta(2)
     assert (cue.name, cue.d_value, cue.omega_text) == ("CUE", 0, "N")
-    cse = EnsembleParams.for_beta(4)
-    assert (cse.name, cse.d_value) == ("CSE", Fraction(1, 2))
     with pytest.raises(ValueError):
         EnsembleParams.for_beta(3)
+    with pytest.raises(ValueError):
+        EnsembleParams.for_beta(4)
 
 
 def test_omega_and_u():
     assert EnsembleParams.for_beta(1).omega_of_N(3) == 4
     assert EnsembleParams.for_beta(2).omega_of_N(5) == 5
-    assert EnsembleParams.for_beta(4).omega_of_N(3) == 5
     u = EnsembleParams.for_beta(1).u_of_N(3)
     assert u == Fraction(1, 4)
     assert isinstance(u, Fraction)
@@ -61,14 +59,6 @@ def test_stratum_coefficient_untwisted_uses_constant_term():
         got = stratum_coefficient(2, lam, poly)
         want = Fraction((-1) ** len(lam) * poly.coefficient(0), z_weight(lam))
         assert got == want
-
-
-def test_beta4_weight_needs_n():
-    poly = get_diagram_sum(1, 1, (2,)).pattern_map[(0, 1)]
-    with pytest.raises(ValueError):
-        stratum_coefficient(4, (2,), poly)
-    val = stratum_coefficient(4, (2,), poly, n=1)
-    assert val == -Fraction(2**3) * poly.eval_at(Fraction(1, 2)) / 2
 
 
 def test_cancellation_report_vanishes_through_rank_3():
@@ -127,10 +117,10 @@ def test_series_orders_match_stratum_ranks():
 
 def test_evaluate_at_N():
     coe = moment_series(ExternalSpec(beta=1, n=1), 4)
-    values = evaluate_at_N(coe, 3)
+    values = coe.evaluate_at(3)
     assert values == {(0, 1): Fraction(1, 4), (1, 0): Fraction(1, 4)}
     cue = moment_series(ExternalSpec(beta=2, n=1), 3)
-    assert evaluate_at_N(cue, 5) == {(0, 1): Fraction(1, 5)}
+    assert cue.evaluate_at(5) == {(0, 1): Fraction(1, 5)}
 
 
 def test_evaluation_matches_direct_diagram_sum():
@@ -166,17 +156,3 @@ def test_cap_below_leading_order_rejected():
     with pytest.raises(ValueError):
         moment_series(ExternalSpec(beta=1, n=2), 1)
 
-
-def test_quaternion_series_is_gated():
-    spec = ExternalSpec(beta=1, n=1)
-    with pytest.raises(ValueError):
-        moment_series(spec, 3, ensemble_beta=4)
-    with pytest.raises(ValueError):
-        moment_series(ExternalSpec(beta=2, n=1), 3, ensemble_beta=4,
-                      experimental=True)
-    with pytest.raises(ValueError):
-        moment_series(spec, 3, ensemble_beta=2)
-    ms = moment_series(spec, 3, ensemble_beta=4, experimental=True)
-    assert ms.params.name == "CSE"
-    assert ms.params.u_of_N(3) == Fraction(1, 5)
-    assert set(ms.pattern_map) == {(0, 1), (1, 0)}

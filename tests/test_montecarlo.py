@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from cemoments import montecarlo
 from cemoments.montecarlo import (
     GENERATOR_NAME,
     BlockTraceMoment,
@@ -207,3 +208,15 @@ def test_block_trace_separates_engine_from_retained_reference():
     band = 4.0 * res.std_error + allowance
     assert abs(res.mean - engine_value) <= band
     assert abs(res.mean - reference_value) > band
+
+
+def test_sampling_pool_is_bounded_by_batches_and_cpus(fake_pool):
+    sizes = fake_pool(montecarlo)
+    obs = EntryMoment(factors=((0, 0, False), (0, 0, True)))
+    for batches in (3, 20):
+        cfg = SampleConfig(ensemble="COE", N=3, sample_count=60,
+                           rng_seed=7, batch_count=batches)
+        serial = estimate_moment(cfg, obs, workers=1)
+        for workers in (2, 64):
+            assert estimate_moment(cfg, obs, workers=workers) == serial
+    assert sizes == [2, 3, 2, 4]

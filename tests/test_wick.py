@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from cemoments import wick
 from cemoments.algebra import DimPolynomial
 from cemoments.wick import (
     DiagramSum,
@@ -45,8 +46,6 @@ def test_external_spec_validation():
 def test_slot_graph_no_vertices():
     g = build_slot_graph(ExternalSpec(beta=1, n=1), ())
     assert g.factor_count == 1
-    assert g.edge_count == 1
-    assert g.external_slot_count == 2
     # no internal identifications at all: both sides fully external
     assert set(g.trace_from_z) == {-1}
     assert set(g.trace_from_zbar) == {-1}
@@ -207,3 +206,14 @@ def test_diagram_sum_fields():
     assert ds.n == 2
     assert ds.vertex_type == (2,)
     assert ds.edge_count == 4
+
+
+def test_enumeration_pool_is_bounded_by_jobs_and_cpus(fake_pool):
+    sizes = fake_pool(wick)
+    small = build_slot_graph(ExternalSpec(beta=1, n=1), (2,))  # F = 3
+    large = build_slot_graph(ExternalSpec(beta=2, n=1), (2, 2))  # F = 5
+    for graph in (small, large):
+        serial = enumerate_wick(graph, workers=1).pattern_map
+        for workers in (2, 64):
+            assert enumerate_wick(graph, workers=workers).pattern_map == serial
+    assert sizes == [2, 3, 2, 4]
