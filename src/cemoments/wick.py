@@ -29,15 +29,31 @@ define a perfect matching from external z-slots to external zbar-slots,
 the term's delta pattern. The enumeration accumulates, per pattern, the
 count of terms with c closed cycles, i.e. an integer polynomial in d.
 
-Determinism: bijections are enumerated in lexicographic order and twist
-masks as a binary counter. Parallel runs split the term space by the image
-of z-factor 0, and partial sums merge by exact integer addition, so results
-are bit-identical for any worker count.
+The terms are never visited one by one. z-factors are paired one per level,
+internal factors first in ring order n..F-1, then the externals 0..n-1. An
+open path is tracked by its far ends: a free z-slot or an external zbar
+terminal, seen from a free zbar slot. (A free z-slot can end on an external
+z terminal only when it is that unpaired external slot itself, so with this
+order that needs no record.) A wick edge closes a cycle when it meets its
+own far end, completes a pattern pair when it joins an external z-slot,
+and otherwise splices the two far ends together. The state after a prefix
+is the pattern so far plus the far-end pair of each unused zbar factor,
+with the pairs sorted (zbar labels never reach the output) and, for
+beta=1, each pair sorted too (both twists are enumerated). Equal states
+merge into one bytes key whose value packs the term counts per cycle
+number into one integer; only two levels are alive at a time.
+
+Determinism: every count is an exact integer sum, independent of dict
+order. Parallel runs split the terms by the image of the first paired
+z-factor, one chunk of images per worker, and chunks merge in submission
+order by exact integer addition, so results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -155,66 +171,77 @@ class DiagramSum:
         }
 
 
-def _enumerate_chunk(beta, n, trace_from_zbar, factor_count, first_images,
-                     validate=False):
-    """Fold over all terms whose bijection sends z-factor 0 into first_images.
+_DEAD = 255  # marks a zbar slot that is already paired
+
+
+def _join(state, x, p, two_n):
+    """Add the wick edge from z-slot x to the free zbar slot at state[p].
+
+    state[p] is the far end of that zbar slot: a free internal z-slot or
+    an external zbar terminal (both are slot numbers; terminals are < 2n).
+    Returns the number of cycles closed (0 or 1).
+    """
+    e = state[p]
+    state[p] = _DEAD
+    if x < two_n:  # external z-slot: the path is complete
+        state[x] = e
+        return 0
+    if e == x:
+        return 1
+    # the zbar slot whose far end was x now ends where slot p ended
+    state[state.index(x, two_n)] = e
+    return 0
+
+
+def _enumerate_chunk(beta, n, trace_from_zbar, factor_count, first_images):
+    """Sum all terms whose first paired z-factor maps into first_images.
 
     Returns {pattern: [term count per cycle number]}. Top-level so process
-    pools can pickle it.
+    pools can pickle it. Raises AssertionError if a final pattern is not a
+    perfect matching of the external slots or has too many cycles.
     """
     F = factor_count
     two_n = 2 * n
-    two_f = 2 * F
-    n_masks = (1 << F) if beta == 1 else 1
+    twists = (0, 1) if beta == 1 else (0,)
+    bits = (math.factorial(F) * len(twists) ** F).bit_length()
     max_cycles = 2 * (F - n) + 1  # a cycle needs at least one internal z-slot
+    # key: the pattern so far (2n bytes) then the far ends of the two slots
+    # of each unused zbar factor; value: counts packed `bits` per cycle
+    start = [_DEAD] * two_n + [
+        y if y < two_n else trace_from_zbar[y] for y in range(2 * F)
+    ]
+    level = {bytes(start): 1}
+    for step, f in enumerate([*range(n, F), *range(n)]):
+        images = first_images if step == 0 else range(F - step)
+        nxt = {}
+        for key, packed in level.items():
+            for g in images:
+                p = two_n + 2 * g
+                for t in twists:
+                    state = list(key)
+                    cycles = _join(state, 2 * f, p + t, two_n)
+                    cycles += _join(state, 2 * f + 1, p + 1 - t, two_n)
+                    pairs = [
+                        state[i:i + 2] for i in range(two_n, len(state), 2)
+                        if i != p
+                    ]
+                    if beta == 1:
+                        pairs = [sorted(pair) for pair in pairs]
+                    pairs.sort()
+                    new = bytes(itertools.chain(state[:two_n], *pairs))
+                    nxt[new] = nxt.get(new, 0) + (packed << cycles * bits)
+        level = nxt
     counts = {}
-    visited = [0] * two_f
-    stamp = 0
-    wick = [0] * two_f
-    trace = trace_from_zbar
-    for g0 in first_images:
-        rest = [g for g in range(F) if g != g0]
-        for tail in itertools.permutations(rest):
-            perm = (g0,) + tail
-            for mask in range(n_masks):
-                for f in range(F):
-                    base = 2 * perm[f]
-                    t = (mask >> f) & 1
-                    wick[2 * f] = base + t
-                    wick[2 * f + 1] = base + 1 - t
-                stamp += 1
-                pat = [0] * two_n
-                for s in range(two_n):
-                    w = wick[s]
-                    nxt = trace[w]
-                    while nxt >= 0:
-                        visited[nxt] = stamp
-                        w = wick[nxt]
-                        nxt = trace[w]
-                    pat[s] = w
-                cycles = 0
-                for s in range(two_n, two_f):
-                    if visited[s] != stamp:
-                        cur = s
-                        while visited[cur] != stamp:
-                            visited[cur] = stamp
-                            cur = trace[wick[cur]]
-                        cycles += 1
-                if validate:
-                    if any(w >= two_n for w in pat):
-                        raise AssertionError(
-                            "chain ended on an internal slot"
-                        )
-                    if sorted(pat) != list(range(two_n)):
-                        raise AssertionError(
-                            "delta pattern is not a perfect matching"
-                        )
-                key = tuple(pat)
-                arr = counts.get(key)
-                if arr is None:
-                    arr = [0] * max_cycles
-                    counts[key] = arr
-                arr[cycles] += 1
+    mask = (1 << bits) - 1
+    for key, packed in level.items():
+        pattern = tuple(key)
+        if sorted(pattern) != list(range(two_n)):
+            raise AssertionError("delta pattern is not a perfect matching")
+        if packed >> max_cycles * bits:
+            raise AssertionError("more closed cycles than internal z-slots")
+        counts[pattern] = [
+            (packed >> c * bits) & mask for c in range(max_cycles)
+        ]
     return counts
 
 
@@ -228,19 +255,21 @@ def _merge_counts(target, part):
                 acc[c] += v
 
 
-def enumerate_wick(graph, workers=1, validate=False):
+def enumerate_wick(graph, workers=1):
     """Enumerate every pairing (and twist, for beta=1) of the slot graph."""
     F = graph.factor_count
     args = (graph.beta, graph.n, graph.trace_from_zbar, F)
     workers = min(workers, F, os.cpu_count() or 1)
     if workers <= 1:
-        counts = _enumerate_chunk(*args, list(range(F)), validate)
+        counts = _enumerate_chunk(*args, range(F))
     else:
         counts = {}
         with ProcessPoolExecutor(max_workers=workers) as pool:
+            # one chunk per worker: states merge only within a chunk, so
+            # more chunks would repeat work
             futures = [
-                pool.submit(_enumerate_chunk, *args, [g0], validate)
-                for g0 in range(F)
+                pool.submit(_enumerate_chunk, *args, range(k, F, workers))
+                for k in range(workers)
             ]
             # merge in submission order, not completion order
             for fut in futures:

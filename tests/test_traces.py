@@ -261,8 +261,8 @@ def test_oracle_confirms_engine_at_degree_two(pair):
 
 
 def test_oracle_next_order_values():
-    # one order past the frozen tables; the slow engine test below
-    # reproduces these numbers by direct enumeration
+    # one order past the frozen tables; the engine tests below
+    # reproduce these numbers by direct enumeration
     expected = {
         ((2,), (2,)): (0, -44, -20),
         ((1, 1), (1, 1)): (0, -48, -16),
@@ -275,7 +275,6 @@ def test_oracle_next_order_values():
         assert got == coeffs
 
 
-@pytest.mark.slow
 def test_engine_matches_oracle_one_order_up():
     for lam, mu in [((2,), (2,)), ((1, 1), (1, 1)), ((2,), (1, 1))]:
         result = trace_moment(lam, mu, 5)
@@ -287,6 +286,21 @@ def test_engine_matches_oracle_one_order_up():
                 bucket.get(j, Fraction(0)) for j in range(top + 1)
             )
             assert result.series.coefficient(k) == want, (lam, mu, k)
+
+
+@pytest.mark.parametrize("pair", [
+    ((2,), (2,)), ((1, 1), (1, 1)), ((2,), (1, 1)),
+], ids=str)
+def test_engine_matches_oracle_through_u7(pair):
+    # u^7 needs strata up to F = 12 at beta=1
+    lam, mu = pair
+    result = trace_moment(lam, mu, 7)
+    oracle = _oracle_series(lam, mu, 7)
+    for k in range(8):
+        bucket = oracle[k]
+        top = max(bucket) if bucket else 0
+        want = MPolynomial(bucket.get(j, Fraction(0)) for j in range(top + 1))
+        assert result.series.coefficient(k) == want, (pair, k)
 
 
 # ---------------------------------------------------------------------

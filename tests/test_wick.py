@@ -2,9 +2,11 @@
 
 The frozen coefficient tuples below are cross-checked inside this file by
 counting arguments (total term counts, degree bounds, Catalan leading
-coefficients) rather than trusted blindly.
+coefficients) rather than trusted blindly, and the enumeration kernel is
+checked term by term against a brute-force walk over every pairing.
 """
 
+import itertools
 import math
 import os
 
@@ -12,6 +14,7 @@ import pytest
 
 from cemoments import wick
 from cemoments.algebra import DimPolynomial
+from cemoments.partitions import partitions_of
 from cemoments.wick import (
     DiagramSum,
     ExternalSpec,
@@ -104,6 +107,7 @@ def test_pattern_symmetry_at_n1():
 
 @pytest.mark.parametrize("lam,n", [
     ((), 1), ((2,), 1), ((3,), 1), ((2, 2), 1), ((), 2), ((2,), 2),
+    ((2, 2, 2, 2), 1), ((3, 3), 1), ((4, 2), 1), ((3, 2, 2), 1), ((4, 4), 1),
 ])
 def test_term_count_identity(lam, n):
     # every pairing and twist assignment lands in exactly one pattern,
@@ -142,7 +146,8 @@ def test_misprint_guard_for_2_2():
 
 
 def test_degree_bound_and_catalan_leading():
-    for lam in [(3,), (2, 2), (4,), (3, 2), (2, 2, 2)]:
+    for lam in [(3,), (2, 2), (4,), (3, 2), (2, 2, 2),
+                (2, 2, 2, 2), (3, 3), (4, 2), (3, 2, 2), (4, 4)]:
         pm = get_diagram_sum(1, 1, lam).pattern_map
         want_lead = 1
         for part in lam:
@@ -155,9 +160,70 @@ def test_degree_bound_and_catalan_leading():
 def test_validate_mode_accepts_clean_runs():
     for beta, n, lam in [(1, 2, (2,)), (2, 1, (3,)), (1, 1, (2, 2))]:
         graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
-        ds = enumerate_wick(graph, validate=True)
+        ds = enumerate_wick(graph)
         for pattern in ds.pattern_map:
             assert sorted(pattern) == list(range(2 * n))
+
+
+def _brute_force_counts(graph):
+    """Walk every bijection and twist mask one term at a time.
+
+    Returns {pattern: [term count per cycle number]}, the kernel's format.
+    """
+    F, two_n = graph.factor_count, 2 * graph.n
+    trace = graph.trace_from_zbar
+    masks = range(1 << F) if graph.beta == 1 else [0]
+    counts = {}
+    for perm in itertools.permutations(range(F)):
+        for mask in masks:
+            wick_to = []
+            for f in range(F):
+                t = (mask >> f) & 1
+                wick_to += [2 * perm[f] + t, 2 * perm[f] + 1 - t]
+            seen = set()
+            pattern = []
+            for s in range(two_n):
+                w = wick_to[s]
+                while trace[w] >= 0:
+                    seen.add(trace[w])
+                    w = wick_to[trace[w]]
+                pattern.append(w)
+            cycles = 0
+            for s in range(two_n, 2 * F):
+                if s not in seen:
+                    cycles += 1
+                    while s not in seen:
+                        seen.add(s)
+                        s = trace[wick_to[s]]
+            arr = counts.setdefault(
+                tuple(pattern), [0] * (2 * (F - graph.n) + 1)
+            )
+            arr[cycles] += 1
+    return counts
+
+
+def test_kernel_matches_brute_force_walk(fake_pool):
+    fake_pool(wick)
+    for beta, max_f in [(1, 6), (2, 7)]:
+        for n in (1, 2, 3):
+            for size in range(max_f - n + 1):
+                for lam in partitions_of(size, min_part=2):
+                    graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
+                    F = graph.factor_count
+                    brute = _brute_force_counts(graph)
+                    # the sum of one chunk per first image
+                    summed = {}
+                    for g0 in range(F):
+                        wick._merge_counts(summed, wick._enumerate_chunk(
+                            beta, n, graph.trace_from_zbar, F, [g0]))
+                    assert summed == brute, (beta, n, lam)
+                    want = {key: DimPolynomial(brute[key])
+                            for key in sorted(brute)}
+                    # workers=2 sums two chunks of first images, in order
+                    for workers in (1, 2):
+                        got = enumerate_wick(graph, workers=workers)
+                        assert got.pattern_map == want, (beta, n, lam)
+                        assert list(got.pattern_map) == list(want)
 
 
 def test_worker_counts_are_bit_identical():
