@@ -27,7 +27,6 @@ from .wick import (
     build_slot_graph,
     enumerate_wick,
     get_diagram_sum,
-    j_polynomial,
 )
 
 __version__ = "0.1.0"
@@ -57,6 +56,5 @@ __all__ = [
     "build_slot_graph",
     "enumerate_wick",
     "get_diagram_sum",
-    "j_polynomial",
     "__version__",
 ]

@@ -162,10 +162,6 @@ class MPolynomial:
         cleaned = _strip_trailing_zeros(Fraction(c) for c in coeffs)
         object.__setattr__(self, "coeffs", cleaned)
 
-    @classmethod
-    def constant(cls, value):
-        return cls((Fraction(value),))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -282,10 +278,6 @@ class TruncatedSeries:
         terms += [Fraction(0)] * (cap + 1 - len(terms))
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "terms", tuple(terms))
-
-    @classmethod
-    def zero(cls, cap):
-        return cls(cap)
 
     @classmethod
     def single_term(cls, cap, power, coefficient):

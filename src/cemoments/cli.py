@@ -20,7 +20,7 @@ from .algebra import format_terms, power_of
 from .moments import cancellation_report, moment_series
 from .partitions import normalize_partition
 from .traces import trace_moment
-from .wick import ExternalSpec, get_diagram_sum
+from .wick import ExternalSpec, get_diagram_sum, get_diagram_sums
 
 
 def parse_partition(text, allow_ones=True):
@@ -72,7 +72,7 @@ def _grouped(values):
 
 
 def cmd_jpoly(args):
-    dsum = get_diagram_sum(args.beta, args.n, args.lam, workers=args.workers)
+    dsum = get_diagram_sum(args.beta, args.n, args.lam)
     if args.json:
         print(json.dumps(dsum.to_json()))
         return 0
@@ -150,8 +150,8 @@ def _verify_cancellations(args, emit):
 
 def _verify_catalan(args, emit):
     failures = 0
-    for lam in [(3,), (2, 2), (4,), (3, 2), (2, 2, 2)]:
-        pm = get_diagram_sum(1, 1, lam, workers=args.workers).pattern_map
+    strata = [(3,), (2, 2), (4,), (3, 2), (2, 2, 2)]
+    for lam, ds in zip(strata, get_diagram_sums(1, 1, strata, args.workers)):
         expected_deg = sum(lam) + len(lam)
         want_lead = 1
         for part in lam:
@@ -159,7 +159,7 @@ def _verify_catalan(args, emit):
         ok = all(
             poly.degree == expected_deg
             and poly.leading_coefficient == want_lead
-            for poly in pm.values()
+            for poly in ds.pattern_map.values()
         )
         emit({"check": f"catalan leading coefficient {list(lam)}",
               "verdict": "pass" if ok else "fail"},

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import TruncatedSeries
 from .partitions import partitions_no_ones_up_to_rank, rank, z_weight
-from .wick import get_diagram_sum
+from .wick import get_diagram_sums
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,9 @@ def weighted_patterns(beta, n, max_rank, workers=1):
     of the stratum's diagram sum: the one loop behind entry moments,
     cancellation reports and trace moments.
     """
-    for lam in partitions_no_ones_up_to_rank(max_rank):
+    strata = partitions_no_ones_up_to_rank(max_rank)
+    for lam, ds in zip(strata, get_diagram_sums(beta, n, strata, workers)):
         r = rank(lam)
-        ds = get_diagram_sum(beta, n, lam, workers=workers)
         for pattern, poly in ds.pattern_map.items():
             yield r, pattern, stratum_coefficient(beta, lam, poly)
 

@@ -43,11 +43,11 @@ beta=1, each pair sorted too (both twists are enumerated). Equal states
 merge into one bytes key whose value packs the term counts per cycle
 number into one integer; only two levels are alive at a time.
 
-Determinism: every count is an exact integer sum, independent of dict
-order. Parallel runs split the terms by the image of the first paired
-z-factor, one chunk of images per worker, and chunks merge in submission
-order by exact integer addition, so results are bit-identical for any
-worker count.
+Determinism: the kernel is serial code, and every count is an exact
+integer sum, independent of dict order. Parallel runs happen one level up:
+get_diagram_sums hands whole strata to a process pool, one stratum per job,
+and returns the results in the order asked, so they are bit-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -193,12 +193,12 @@ def _join(state, x, p, two_n):
     return 0
 
 
-def _enumerate_chunk(beta, n, trace_from_zbar, factor_count, first_images):
-    """Sum all terms whose first paired z-factor maps into first_images.
+def _enumerate(beta, n, trace_from_zbar, factor_count):
+    """Sum every term of the slot graph, one paired z-factor per level.
 
-    Returns {pattern: [term count per cycle number]}. Top-level so process
-    pools can pickle it. Raises AssertionError if a final pattern is not a
-    perfect matching of the external slots or has too many cycles.
+    Returns {pattern: [term count per cycle number]}. Raises AssertionError
+    if a final pattern is not a perfect matching of the external slots or
+    has too many cycles.
     """
     F = factor_count
     two_n = 2 * n
@@ -212,10 +212,9 @@ def _enumerate_chunk(beta, n, trace_from_zbar, factor_count, first_images):
     ]
     level = {bytes(start): 1}
     for step, f in enumerate([*range(n, F), *range(n)]):
-        images = first_images if step == 0 else range(F - step)
         nxt = {}
         for key, packed in level.items():
-            for g in images:
+            for g in range(F - step):
                 p = two_n + 2 * g
                 for t in twists:
                     state = list(key)
@@ -245,35 +244,10 @@ def _enumerate_chunk(beta, n, trace_from_zbar, factor_count, first_images):
     return counts
 
 
-def _merge_counts(target, part):
-    for key, arr in part.items():
-        acc = target.get(key)
-        if acc is None:
-            target[key] = list(arr)
-        else:
-            for c, v in enumerate(arr):
-                acc[c] += v
-
-
-def enumerate_wick(graph, workers=1):
+def enumerate_wick(graph):
     """Enumerate every pairing (and twist, for beta=1) of the slot graph."""
     F = graph.factor_count
-    args = (graph.beta, graph.n, graph.trace_from_zbar, F)
-    workers = min(workers, F, os.cpu_count() or 1)
-    if workers <= 1:
-        counts = _enumerate_chunk(*args, range(F))
-    else:
-        counts = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # one chunk per worker: states merge only within a chunk, so
-            # more chunks would repeat work
-            futures = [
-                pool.submit(_enumerate_chunk, *args, range(k, F, workers))
-                for k in range(workers)
-            ]
-            # merge in submission order, not completion order
-            for fut in futures:
-                _merge_counts(counts, fut.result())
+    counts = _enumerate(graph.beta, graph.n, graph.trace_from_zbar, F)
     pattern_map = {
         key: DimPolynomial(counts[key]) for key in sorted(counts)
     }
@@ -289,26 +263,42 @@ def enumerate_wick(graph, workers=1):
 _diagram_cache = {}
 
 
-def get_diagram_sum(beta, n, lam, workers=1):
+def get_diagram_sum(beta, n, lam):
     """Cached enumeration, keyed by (beta, n, lam)."""
     lam = normalize_partition(lam, allow_ones=False)
     key = (beta, n, lam)
     cached = _diagram_cache.get(key)
     if cached is None:
         graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
-        cached = enumerate_wick(graph, workers=workers)
+        cached = enumerate_wick(graph)
         _diagram_cache[key] = cached
     return cached
 
 
+def get_diagram_sums(beta, n, strata, workers=1):
+    """One cached diagram sum per stratum, in the order given.
+
+    Strata missing from the cache are enumerated once each, as whole jobs
+    of one process pool of min(workers, jobs, cpus) processes, largest
+    first. The results are returned in the order asked, so they do not
+    depend on the worker count or on the order in which jobs finish.
+    """
+    strata = [normalize_partition(lam, allow_ones=False) for lam in strata]
+    missing = sorted(
+        dict.fromkeys(
+            lam for lam in strata if (beta, n, lam) not in _diagram_cache
+        ),
+        key=sum, reverse=True,
+    )
+    workers = min(workers, len(missing), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [(lam, pool.submit(get_diagram_sum, beta, n, lam))
+                       for lam in missing]
+            for lam, fut in futures:
+                _diagram_cache[(beta, n, lam)] = fut.result()
+    return [get_diagram_sum(beta, n, lam) for lam in strata]
+
+
 def clear_diagram_cache():
     _diagram_cache.clear()
-
-
-def j_polynomial(lam, beta=1, n=1, workers=1):
-    """Per-pattern polynomial in d for vertex type lam.
-
-    Convenience wrapper over the cached enumeration; returns the
-    pattern -> DimPolynomial map.
-    """
-    return get_diagram_sum(beta, n, lam, workers=workers).pattern_map

@@ -27,8 +27,12 @@ from cemoments.montecarlo import (
 )
 from cemoments.partitions import partitions_no_ones_up_to_rank, z_weight
 from cemoments.traces import large_n_limit, trace_moment
-from cemoments.wick import ExternalSpec, build_slot_graph, enumerate_wick, \
-    get_diagram_sum
+from cemoments.wick import (
+    ExternalSpec,
+    clear_diagram_cache,
+    get_diagram_sum,
+    get_diagram_sums,
+)
 
 MC_SEED = 20260819
 
@@ -301,11 +305,15 @@ def test_criterion_10_unitary_cycle_suppression():
 def test_criterion_11_determinism_and_parallel_soundness():
     ok = True
     cpu = max(3, os.cpu_count() or 1)
-    for beta, n, lam in [(1, 1, (2, 2)), (2, 2, (2,))]:
-        graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
-        baseline = enumerate_wick(graph, workers=1).pattern_map
+    strata = [(2, 2), (3,), (2,), ()]
+    for beta, n in [(1, 1), (2, 2)]:
+        clear_diagram_cache()
+        baseline = [ds.pattern_map
+                    for ds in get_diagram_sums(beta, n, strata, 1)]
         for workers in (2, cpu):
-            again = enumerate_wick(graph, workers=workers).pattern_map
+            clear_diagram_cache()
+            again = [ds.pattern_map
+                     for ds in get_diagram_sums(beta, n, strata, workers)]
             ok = ok and again == baseline
 
     cfg = SampleConfig(ensemble="COE", N=4, sample_count=4000,

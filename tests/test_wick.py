@@ -14,7 +14,9 @@ import pytest
 
 from cemoments import wick
 from cemoments.algebra import DimPolynomial
+from cemoments.moments import moment_series
 from cemoments.partitions import partitions_of
+from cemoments.traces import trace_moment
 from cemoments.wick import (
     DiagramSum,
     ExternalSpec,
@@ -22,7 +24,7 @@ from cemoments.wick import (
     clear_diagram_cache,
     enumerate_wick,
     get_diagram_sum,
-    j_polynomial,
+    get_diagram_sums,
 )
 
 # per-pattern cycle polynomials at n=1, twisted model, ascending coefficients
@@ -206,31 +208,36 @@ def test_kernel_matches_brute_force_walk(fake_pool):
     fake_pool(wick)
     for beta, max_f in [(1, 6), (2, 7)]:
         for n in (1, 2, 3):
-            for size in range(max_f - n + 1):
-                for lam in partitions_of(size, min_part=2):
-                    graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
-                    F = graph.factor_count
-                    brute = _brute_force_counts(graph)
-                    # the sum of one chunk per first image
-                    summed = {}
-                    for g0 in range(F):
-                        wick._merge_counts(summed, wick._enumerate_chunk(
-                            beta, n, graph.trace_from_zbar, F, [g0]))
-                    assert summed == brute, (beta, n, lam)
-                    want = {key: DimPolynomial(brute[key])
-                            for key in sorted(brute)}
-                    # workers=2 sums two chunks of first images, in order
-                    for workers in (1, 2):
-                        got = enumerate_wick(graph, workers=workers)
-                        assert got.pattern_map == want, (beta, n, lam)
-                        assert list(got.pattern_map) == list(want)
+            strata = [lam for size in range(max_f - n + 1)
+                      for lam in partitions_of(size, min_part=2)]
+            brute = {}
+            for lam in strata:
+                graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
+                brute[lam] = _brute_force_counts(graph)
+                got = wick._enumerate(beta, n, graph.trace_from_zbar,
+                                      graph.factor_count)
+                assert got == brute[lam], (beta, n, lam)
+            # workers=2 sends whole strata through the inline pool
+            for workers in (1, 2):
+                clear_diagram_cache()
+                sums = get_diagram_sums(beta, n, strata, workers)
+                for lam, ds in zip(strata, sums):
+                    want = {key: DimPolynomial(brute[lam][key])
+                            for key in sorted(brute[lam])}
+                    assert ds.pattern_map == want, (beta, n, lam, workers)
+                    assert list(ds.pattern_map) == list(want)
 
 
 def test_worker_counts_are_bit_identical():
-    graph = build_slot_graph(ExternalSpec(beta=1, n=1), (2, 2))
-    base = enumerate_wick(graph, workers=1).pattern_map
+    strata = [(2, 2), (3,), (2,), (), (4,)]
+    clear_diagram_cache()
+    base = [ds.pattern_map for ds in get_diagram_sums(1, 1, strata, 1)]
     for workers in (2, max(2, os.cpu_count() or 1)):
-        assert enumerate_wick(graph, workers=workers).pattern_map == base
+        clear_diagram_cache()
+        again = get_diagram_sums(1, 1, strata, workers)
+        assert [ds.pattern_map for ds in again] == base
+        for ds, pm in zip(again, base):
+            assert list(ds.pattern_map) == list(pm)
 
 
 def test_beta2_patterns_have_even_endpoints():
@@ -261,11 +268,6 @@ def test_cache_returns_same_object_and_clears():
     assert again.pattern_map == first.pattern_map
 
 
-def test_j_polynomial_wrapper():
-    pm = j_polynomial((2,), beta=1, n=1)
-    assert pm[(0, 1)].coeffs == FROZEN[(2,)]
-
-
 def test_diagram_sum_fields():
     ds = get_diagram_sum(1, 2, (2,))
     assert isinstance(ds, DiagramSum)
@@ -276,10 +278,49 @@ def test_diagram_sum_fields():
 
 def test_enumeration_pool_is_bounded_by_jobs_and_cpus(fake_pool):
     sizes = fake_pool(wick)
-    small = build_slot_graph(ExternalSpec(beta=1, n=1), (2,))  # F = 3
-    large = build_slot_graph(ExternalSpec(beta=2, n=1), (2, 2))  # F = 5
-    for graph in (small, large):
-        serial = enumerate_wick(graph, workers=1).pattern_map
+    three = [(2,), (3,), (2, 2), (2,)]  # three jobs: (2,) is listed twice
+    six = [(), (2,), (3,), (4,), (2, 2), (3, 2)]
+    for strata in (three, six):
+        clear_diagram_cache()
+        serial = [ds.pattern_map for ds in get_diagram_sums(1, 1, strata)]
         for workers in (2, 64):
-            assert enumerate_wick(graph, workers=workers).pattern_map == serial
+            clear_diagram_cache()
+            got = get_diagram_sums(1, 1, strata, workers)
+            assert [ds.pattern_map for ds in got] == serial
+            # a warm cache starts no pool
+            assert get_diagram_sums(1, 1, strata, workers) == got
     assert sizes == [2, 3, 2, 4]
+    # one missing stratum is a single job, so it runs in-process
+    get_diagram_sums(1, 1, [(2,), (5,)], 64)
+    assert sizes == [2, 3, 2, 4]
+
+
+def test_results_follow_the_order_asked_not_the_schedule(fake_pool,
+                                                         monkeypatch):
+    # jobs are submitted largest stratum first; the results must still
+    # come back, and be summed, in partition order
+    sizes = fake_pool(wick)
+    serial_moment = moment_series(ExternalSpec(2, 2), 6, workers=1)
+    serial_trace = trace_moment((2,), (2,), 6, workers=1)
+    clear_diagram_cache()
+    parallel_moment = moment_series(ExternalSpec(2, 2), 6, workers=2)
+    clear_diagram_cache()
+    parallel_trace = trace_moment((2,), (2,), 6, workers=2)
+    assert sizes == [2, 2]
+    assert parallel_moment == serial_moment
+    assert list(parallel_moment.pattern_map) == list(serial_moment.pattern_map)
+    assert parallel_trace == serial_trace
+
+    enumerated = []
+    real = wick.enumerate_wick
+
+    def counting(graph):
+        enumerated.append(graph.vertex_type)
+        return real(graph)
+
+    monkeypatch.setattr(wick, "enumerate_wick", counting)
+    clear_diagram_cache()
+    sums = get_diagram_sums(1, 1, [(2,), (3,), [2], (2,)], 2)
+    assert sorted(enumerated) == [(2,), (3,)]
+    assert sums[0] is sums[2] is sums[3]
+    assert sums[1].vertex_type == (3,)
