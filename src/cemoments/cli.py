@@ -39,6 +39,13 @@ def parse_partition(text, allow_ones=True):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def positive_int(text):
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _default_workers():
     env = os.environ.get("CEMOMENTS_WORKERS", "")
     try:
@@ -215,8 +222,9 @@ def _verify_mc_coe(args, emit):
          t2.value_at(N, M), montecarlo.trace_truncation_allowance(t2, N, M),
          M)
     )
-    for name, obs, symbolic, allowance, m_used in checks:
-        est = montecarlo.estimate_moment(cfg, obs, workers=args.workers)
+    estimates = montecarlo.estimate_moment(
+        cfg, [obs for _, obs, _, _, _ in checks], workers=args.workers)
+    for (name, _, symbolic, allowance, m_used), est in zip(checks, estimates):
         rep = montecarlo.compare(symbolic, est, sigma_tol=4.0,
                                  trunc_bound=allowance, observable=name,
                                  N=N, M=m_used)
@@ -260,7 +268,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--workers", type=int, default=_default_workers(),
+        p.add_argument("--workers", type=positive_int,
+                       default=_default_workers(),
                        help="process count for enumeration/sampling "
                             "(default: CEMOMENTS_WORKERS or 1)")
         p.add_argument("--json", action="store_true",

@@ -6,9 +6,11 @@ toward the sign conventions of the factorization; multiplying each column
 by r_jj/|r_jj| removes that). COE samples are S S^T.
 
 Reproducibility: the seed feeds a SeedSequence whose spawned children give
-one PCG64 stream per batch. Batches are evaluated independently and merged
-in batch order with sample-count weights, so a run is bit-identical for a
-fixed (seed, sample_count, batch_count) regardless of worker count.
+one PCG64 stream per batch. Each batch is drawn once and every observable
+of the run is evaluated on that same array; batches are merged in batch
+order with sample-count weights. So a run is bit-identical for a fixed
+(seed, sample_count, batch_count), whatever the worker count and whichever
+observables share the run.
 """
 
 from __future__ import annotations
@@ -64,6 +66,12 @@ class EntryMoment:
 
     factors: tuple
 
+    def check(self, N):
+        for i, j, _ in self.factors:
+            if not (0 <= i < N and 0 <= j < N):
+                raise ValueError(
+                    f"entry W[{i},{j}] lies outside the {N}x{N} matrix")
+
     def evaluate(self, w):
         out = np.ones(w.shape[0], dtype=complex)
         for i, j, conj in self.factors:
@@ -86,6 +94,11 @@ class BlockTraceMoment:
     lam: tuple
     mu: tuple
     M: int
+
+    def check(self, N):
+        if not 0 <= self.M <= N:
+            raise ValueError(
+                f"block size M={self.M} must satisfy 0 <= M <= N={N}")
 
     def evaluate(self, w):
         b = w[:, : self.M, : self.M]
@@ -125,34 +138,18 @@ def _batch_sizes(total, batches):
     return [base + (1 if b < rem else 0) for b in range(batches)]
 
 
-def _batch_mean(ensemble, N, size, seed_seq, observable):
+def _batch_mean(ensemble, N, size, seed_seq, observables):
+    """Draw one batch and return the mean of each observable on it."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     if ensemble == "CUE":
         w = sample_cue(N, rng, size=size)
     else:
         w = sample_coe(N, rng, size=size)
-    vals = observable.evaluate(w)
-    return complex(np.mean(vals))
+    return [complex(np.mean(obs.evaluate(w))) for obs in observables]
 
 
-def estimate_moment(cfg, observable, workers=1):
-    """Batched mean with a batch-spread standard error."""
-    if isinstance(observable, BlockTraceMoment) and observable.M > cfg.N:
-        raise ValueError("block size M cannot exceed N")
-    root = np.random.SeedSequence(cfg.rng_seed)
-    children = root.spawn(cfg.batch_count)
-    sizes = _batch_sizes(cfg.sample_count, cfg.batch_count)
-    jobs = [
-        (cfg.ensemble, cfg.N, sizes[b], children[b], observable)
-        for b in range(cfg.batch_count)
-    ]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers <= 1:
-        means = [_batch_mean(*job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_batch_mean, *job) for job in jobs]
-            means = [f.result() for f in futures]  # batch order, always
+def _combine(cfg, sizes, means):
+    """Sample-weighted mean of batch means with a batch-spread stderr."""
     total = cfg.sample_count
     mean = sum((sizes[b] / total) * means[b] for b in range(cfg.batch_count))
     b_count = cfg.batch_count
@@ -167,6 +164,33 @@ def estimate_moment(cfg, observable, workers=1):
         batch_count=b_count,
         seed=cfg.rng_seed,
     )
+
+
+def estimate_moment(cfg, observables, workers=1):
+    """One EstimateResult per observable, all from the same batches.
+
+    Every observable is checked against cfg.N before any batch is drawn.
+    """
+    observables = tuple(observables)
+    if not observables:
+        raise ValueError("need at least one observable")
+    for obs in observables:
+        obs.check(cfg.N)
+    root = np.random.SeedSequence(cfg.rng_seed)
+    children = root.spawn(cfg.batch_count)
+    sizes = _batch_sizes(cfg.sample_count, cfg.batch_count)
+    jobs = [
+        (cfg.ensemble, cfg.N, sizes[b], children[b], observables)
+        for b in range(cfg.batch_count)
+    ]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
+        batches = [_batch_mean(*job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_batch_mean, *job) for job in jobs]
+            batches = [f.result() for f in futures]  # batch order, always
+    return [_combine(cfg, sizes, means) for means in zip(*batches)]
 
 
 @dataclass(frozen=True)

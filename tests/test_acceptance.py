@@ -239,7 +239,7 @@ def test_criterion_09_monte_carlo_concordance():
     failures = []
 
     def check(name, cfg, obs, symbolic, allowance=0.0):
-        res = estimate_moment(cfg, obs)
+        [res] = estimate_moment(cfg, [obs])
         gap = abs(res.mean - float(symbolic))
         if gap > 4.0 * res.std_error + allowance:
             failures.append((name, gap, res.std_error, allowance))
@@ -319,9 +319,9 @@ def test_criterion_11_determinism_and_parallel_soundness():
     cfg = SampleConfig(ensemble="COE", N=4, sample_count=4000,
                        rng_seed=MC_SEED, batch_count=10)
     obs = BlockTraceMoment((1,), (1,), 2)
-    first = estimate_moment(cfg, obs, workers=1)
-    second = estimate_moment(cfg, obs, workers=1)
-    third = estimate_moment(cfg, obs, workers=2)
+    [first] = estimate_moment(cfg, [obs], workers=1)
+    [second] = estimate_moment(cfg, [obs], workers=1)
+    [third] = estimate_moment(cfg, [obs], workers=2)
     ok = ok and first.mean == second.mean == third.mean
     ok = ok and first.std_error == second.std_error == third.std_error
     _report(11, "worker count never changes a single bit", ok)

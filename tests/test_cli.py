@@ -55,6 +55,15 @@ def test_workers_default_comes_from_environment(monkeypatch):
     assert args.workers == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_with_usage_error(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "mc-coe", "--workers", workers])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--workers" in err and "at least 1" in err
+
+
 # ---------------------------------------------------------------------
 # jpoly
 # ---------------------------------------------------------------------

@@ -54,10 +54,10 @@ def test_single_phase_case_is_exact():
     cfg = SampleConfig(ensemble="CUE", N=1, sample_count=4000,
                        rng_seed=99, batch_count=10)
     modulus = EntryMoment(factors=((0, 0, False), (0, 0, True)))
-    res = estimate_moment(cfg, modulus)
+    [res] = estimate_moment(cfg, [modulus])
     assert abs(res.mean - 1.0) < 1e-12
     phase = EntryMoment(factors=((0, 0, False),))
-    res = estimate_moment(cfg, phase)
+    [res] = estimate_moment(cfg, [phase])
     assert abs(res.mean) <= 4.0 * res.std_error
 
 
@@ -65,7 +65,7 @@ def test_cue_entry_modulus_matches_inverse_dimension():
     cfg = SampleConfig(ensemble="CUE", N=5, sample_count=20000,
                        rng_seed=31415, batch_count=20)
     obs = EntryMoment(factors=((1, 1, False), (1, 1, True)))
-    res = estimate_moment(cfg, obs)
+    [res] = estimate_moment(cfg, [obs])
     assert abs(res.mean - 0.2) <= 4.0 * res.std_error
     assert abs(res.mean.imag) < 4.0 * res.std_error
 
@@ -75,7 +75,8 @@ def _coe3_diagonal_estimate():
     cfg = SampleConfig(ensemble="COE", N=3, sample_count=30000,
                        rng_seed=27182, batch_count=20)
     obs = EntryMoment(factors=((0, 0, False), (0, 0, True)))
-    return estimate_moment(cfg, obs)
+    [res] = estimate_moment(cfg, [obs])
+    return res
 
 
 def test_coe_entry_moduli():
@@ -84,7 +85,7 @@ def test_coe_entry_moduli():
     cfg = SampleConfig(ensemble="COE", N=3, sample_count=30000,
                        rng_seed=27183, batch_count=20)
     off = EntryMoment(factors=((0, 1, False), (0, 1, True)))
-    res_off = estimate_moment(cfg, off)
+    [res_off] = estimate_moment(cfg, [off])
     assert abs(res_off.mean - 0.25) <= 4.0 * res_off.std_error
 
 
@@ -92,8 +93,8 @@ def test_estimate_is_deterministic():
     cfg = SampleConfig(ensemble="COE", N=3, sample_count=2000,
                        rng_seed=7, batch_count=8)
     obs = EntryMoment(factors=((0, 0, False), (0, 0, True)))
-    a = estimate_moment(cfg, obs)
-    b = estimate_moment(cfg, obs)
+    [a] = estimate_moment(cfg, [obs])
+    [b] = estimate_moment(cfg, [obs])
     assert a.mean == b.mean
     assert a.std_error == b.std_error
     assert a.generator == GENERATOR_NAME == "PCG64"
@@ -103,20 +104,20 @@ def test_worker_count_does_not_change_bits():
     cfg = SampleConfig(ensemble="CUE", N=4, sample_count=2000,
                        rng_seed=11, batch_count=8)
     obs = EntryMoment(factors=((2, 3, False), (2, 3, True)))
-    serial = estimate_moment(cfg, obs, workers=1)
-    parallel = estimate_moment(cfg, obs, workers=2)
+    [serial] = estimate_moment(cfg, [obs], workers=1)
+    [parallel] = estimate_moment(cfg, [obs], workers=2)
     assert serial.mean == parallel.mean
     assert serial.std_error == parallel.std_error
 
 
 def test_stderr_shrinks_with_sample_count():
     obs = EntryMoment(factors=((0, 0, False), (0, 0, True)))
-    small = estimate_moment(
+    [small] = estimate_moment(
         SampleConfig(ensemble="CUE", N=3, sample_count=16000,
-                     rng_seed=555, batch_count=20), obs)
-    large = estimate_moment(
+                     rng_seed=555, batch_count=20), [obs])
+    [large] = estimate_moment(
         SampleConfig(ensemble="CUE", N=3, sample_count=64000,
-                     rng_seed=556, batch_count=20), obs)
+                     rng_seed=556, batch_count=20), [obs])
     ratio = small.std_error / large.std_error
     assert 1.3 < ratio < 3.0
 
@@ -139,7 +140,7 @@ def test_compare_zero_observable():
     cfg = SampleConfig(ensemble="COE", N=4, sample_count=20000,
                        rng_seed=90210, batch_count=20)
     obs = BlockTraceMoment(lam=(1,), mu=(), M=2)
-    res = estimate_moment(cfg, obs)
+    [res] = estimate_moment(cfg, [obs])
     report = compare(0.0, res, observable=obs.describe(), N=4, M=2)
     assert report.passed
 
@@ -148,7 +149,88 @@ def test_block_size_checked_against_matrix():
     cfg = SampleConfig(ensemble="COE", N=3, sample_count=100,
                        rng_seed=1, batch_count=2)
     with pytest.raises(ValueError):
-        estimate_moment(cfg, BlockTraceMoment(lam=(2,), mu=(2,), M=4))
+        estimate_moment(cfg, [BlockTraceMoment(lam=(2,), mu=(2,), M=4)])
+
+
+def _four_observables(N):
+    return [
+        EntryMoment(factors=((0, 0, False), (0, 0, True))),
+        EntryMoment(factors=((0, N - 1, False), (0, N - 1, True))),
+        BlockTraceMoment(lam=(1,), mu=(1,), M=2),
+        BlockTraceMoment(lam=(2,), mu=(2,), M=2),
+    ]
+
+
+@pytest.mark.parametrize("ensemble", ["CUE", "COE"])
+def test_joint_estimate_equals_single_estimates(ensemble, fake_pool):
+    sizes = fake_pool(montecarlo)
+    cfg = SampleConfig(ensemble=ensemble, N=4, sample_count=600,
+                       rng_seed=2024, batch_count=6)
+    observables = _four_observables(cfg.N)
+    for workers in (1, 2):
+        joint = estimate_moment(cfg, observables, workers=workers)
+        singles = [estimate_moment(cfg, [obs], workers=workers)[0]
+                   for obs in observables]
+        assert joint == singles
+    assert sizes == [2] * 5  # the workers=2 calls went through the pool
+
+
+@pytest.fixture
+def draw_counter(monkeypatch):
+    """Count calls of sample_cue and sample_coe (a COE draw calls both)."""
+    counts = {"CUE": 0, "COE": 0}
+
+    def counting(name, sampler):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return sampler(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(montecarlo, "sample_cue",
+                        counting("CUE", montecarlo.sample_cue))
+    monkeypatch.setattr(montecarlo, "sample_coe",
+                        counting("COE", montecarlo.sample_coe))
+    return counts
+
+
+def test_each_batch_is_drawn_once_for_all_observables(draw_counter):
+    cfg = SampleConfig(ensemble="COE", N=4, sample_count=700,
+                       rng_seed=3, batch_count=7)
+    results = estimate_moment(cfg, _four_observables(cfg.N))
+    assert len(results) == 4
+    assert draw_counter["COE"] == cfg.batch_count
+
+
+@pytest.mark.parametrize("observables", [
+    [],
+    [EntryMoment(factors=((-1, 0, False),))],
+    [EntryMoment(factors=((0, -1, False),))],
+    [EntryMoment(factors=((0, 0, False), (3, 0, True)))],
+    [EntryMoment(factors=((0, 3, False),))],
+    [BlockTraceMoment(lam=(1,), mu=(1,), M=-1)],
+    [BlockTraceMoment(lam=(1,), mu=(1,), M=4)],
+    # one bad observable among good ones still stops the whole run
+    _four_observables(3) + [BlockTraceMoment(lam=(1,), mu=(1,), M=-1)],
+])
+def test_bad_observables_are_rejected_before_sampling(observables,
+                                                      draw_counter):
+    for ensemble in ("CUE", "COE"):
+        cfg = SampleConfig(ensemble=ensemble, N=3, sample_count=100,
+                           rng_seed=1, batch_count=2)
+        with pytest.raises(ValueError):
+            estimate_moment(cfg, observables)
+    assert draw_counter == {"CUE": 0, "COE": 0}
+
+
+def test_block_size_bounds_are_inclusive():
+    cfg = SampleConfig(ensemble="COE", N=3, sample_count=100,
+                       rng_seed=1, batch_count=2)
+    empty, full = estimate_moment(cfg, [
+        BlockTraceMoment(lam=(1,), mu=(1,), M=0),
+        BlockTraceMoment(lam=(1,), mu=(1,), M=3),
+    ])
+    assert empty.mean == 0 and empty.std_error == 0
+    assert full.mean.real > 0
 
 
 def test_config_validation():
@@ -201,7 +283,7 @@ def test_block_trace_separates_engine_from_retained_reference():
     cfg = SampleConfig(ensemble="COE", N=9, sample_count=1_000_000,
                        rng_seed=424242, batch_count=40)
     obs = BlockTraceMoment(lam=(1, 1), mu=(1, 1), M=2)
-    res = estimate_moment(cfg, obs)
+    [res] = estimate_moment(cfg, [obs])
     allowance = 7.68e-4
     engine_value = 0.296
     reference_value = 0.2896
@@ -216,7 +298,7 @@ def test_sampling_pool_is_bounded_by_batches_and_cpus(fake_pool):
     for batches in (3, 20):
         cfg = SampleConfig(ensemble="COE", N=3, sample_count=60,
                            rng_seed=7, batch_count=batches)
-        serial = estimate_moment(cfg, obs, workers=1)
+        serial = estimate_moment(cfg, [obs], workers=1)
         for workers in (2, 64):
-            assert estimate_moment(cfg, obs, workers=workers) == serial
+            assert estimate_moment(cfg, [obs], workers=workers) == serial
     assert sizes == [2, 3, 2, 4]
