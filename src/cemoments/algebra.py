@@ -1,9 +1,10 @@
-"""Exact arithmetic substrate: integer polynomials in the formal dimension d,
-rational polynomials in the block size M, and truncated power series in u.
+"""Exact values: integer polynomials in the formal dimension d, rational
+polynomials in the block size M, and truncated power series in u.
 
-Everything here is immutable and exact. Floats never enter; the only numeric
-types are Python ints and fractions.Fraction. Series carry an explicit
-truncation cap and refuse to report coefficients beyond it.
+Every value here is immutable and exact, and is only built, evaluated,
+rendered and JSON-encoded; none of the types has arithmetic. Floats never
+enter; the only numeric types are Python ints and fractions.Fraction. Series
+carry an explicit truncation cap and refuse to report coefficients beyond it.
 """
 
 from __future__ import annotations
@@ -101,39 +102,6 @@ class DimPolynomial:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __add__(self, other):
-        if not isinstance(other, DimPolynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DimPolynomial(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
-        )
-
-    def __neg__(self):
-        return DimPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        if not isinstance(other, DimPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return DimPolynomial(c * other for c in self.coeffs)
-        if not isinstance(other, DimPolynomial):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return DimPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return DimPolynomial(out)
-
-    __rmul__ = __mul__
-
     def eval_at(self, x):
         """Exact Horner evaluation; an integer point gives an int."""
         acc = 0
@@ -146,10 +114,6 @@ class DimPolynomial:
 
     def to_json(self):
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(int(s) for s in data)
 
 
 @dataclass(frozen=True)
@@ -171,10 +135,6 @@ class MPolynomial:
             return self.coeffs[power]
         return Fraction(0)
 
-    @property
-    def constant_term(self):
-        return self.coefficient(0)
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -191,47 +151,8 @@ class MPolynomial:
             return hash(self.coefficient(0))
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPolynomial((other,))
-        if not isinstance(other, MPolynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return MPolynomial(
-            self.coefficient(k) + other.coefficient(k) for k in range(n)
-        )
-
-    __radd__ = __add__
-
     def __neg__(self):
         return MPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPolynomial((other,))
-        if not isinstance(other, MPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MPolynomial(c * other for c in self.coeffs)
-        if not isinstance(other, MPolynomial):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return MPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return MPolynomial(out)
-
-    __rmul__ = __mul__
 
     def eval_at(self, m):
         acc = 0
@@ -241,16 +162,10 @@ class MPolynomial:
 
     def __str__(self):
         # Rational coefficients render with an explicit slash, e.g. 1/2M^2.
-        if not self.coeffs:
-            return "0"
         return _format_poly(self.coeffs, "M")
 
     def to_json(self):
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(Fraction(s) for s in data)
 
 
 @dataclass(frozen=True)
@@ -259,9 +174,9 @@ class TruncatedSeries:
 
     Coefficients are Fractions (entry moments) or MPolynomials (trace
     moments); the two compare and hash equal where their values agree.
-    Powers above cap are semantically unknown, not zero: arithmetic
-    truncates to the smaller cap and coefficient() for a power above cap
-    raises rather than returning 0.
+    A series is built, evaluated, rendered and JSON-encoded, never combined
+    with another. Powers above cap are semantically unknown, not zero:
+    coefficient() for a power above cap raises rather than returning 0.
     """
 
     cap: int
@@ -296,46 +211,6 @@ class TruncatedSeries:
             )
         return self.terms[power]
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.cap == other.cap and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.cap, self.terms))
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        cap = min(self.cap, other.cap)
-        return TruncatedSeries(
-            cap, [self.terms[k] + other.terms[k] for k in range(cap + 1)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        cap = min(self.cap, other.cap)
-        out = [Fraction(0)] * (cap + 1)
-        for i in range(cap + 1):
-            a = self.terms[i]
-            if a == 0:
-                continue
-            for j in range(cap + 1 - i):
-                b = other.terms[j]
-                if b == 0:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(cap, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        c = Fraction(c)
-        return TruncatedSeries(self.cap, [t * c for t in self.terms])
-
     def is_zero(self):
         return all(t == 0 for t in self.terms)
 
@@ -360,14 +235,3 @@ class TruncatedSeries:
                 encoded.append(str(t))
         return {"var": "u", "cap": self.cap, "terms": encoded}
 
-    @classmethod
-    def from_json(cls, data):
-        if data.get("var") != "u":
-            raise ValueError("expected a series in u")
-        terms = []
-        for item in data["terms"]:
-            if isinstance(item, list):
-                terms.append(MPolynomial.from_json(item))
-            else:
-                terms.append(Fraction(item))
-        return cls(data["cap"], terms)

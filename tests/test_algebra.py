@@ -1,4 +1,4 @@
-"""Exact-arithmetic substrate: polynomials in d and M, truncated series in u."""
+"""Exact values: polynomials in d and M, truncated series in u."""
 
 from fractions import Fraction
 
@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from cemoments.algebra import DimPolynomial, MPolynomial, TruncatedSeries
 
 # cycle-count polynomials for the first few vertex types, coefficients
-# ascending; frozen engine outputs that double as arithmetic fixtures
+# ascending; frozen engine outputs that double as fixtures
 J_PAIR = (8, 10, 4, 2)
 J_TRIPLE = (48, 74, 49, 16, 5)
 J_QUAD = (384, 688, 528, 242, 64, 14)
@@ -33,14 +33,6 @@ def test_dim_poly_str_descending():
     assert str(DimPolynomial((-2, 0, 1))) == "d^2-2"
 
 
-def test_dim_poly_addition_examples():
-    p = DimPolynomial(J_PAIR)
-    assert p + DimPolynomial() == p
-    assert DimPolynomial((0, 1)) + DimPolynomial((0, -1)) == DimPolynomial()
-    bumped = DimPolynomial(J_TRIPLE) + DimPolynomial((0, 0, 0, 0, 1))
-    assert str(bumped) == "6d^4+16d^3+49d^2+74d+48"
-
-
 def test_dim_poly_eval_at_minus_one():
     # the alternating sums that drive the rank cancellations
     assert DimPolynomial(J_PAIR).eval_at(-1) == 0
@@ -63,35 +55,17 @@ def test_dim_poly_degree_and_leading():
     assert DimPolynomial().leading_coefficient == 0
 
 
-@given(coeff_lists, coeff_lists, coeff_lists)
-def test_dim_poly_ring_axioms(a, b, c):
-    pa, pb, pc = DimPolynomial(a), DimPolynomial(b), DimPolynomial(c)
-    assert pa + pb == pb + pa
-    assert pa * pb == pb * pa
-    assert (pa + pb) + pc == pa + (pb + pc)
-    assert (pa * pb) * pc == pa * (pb * pc)
-    assert (pa + pb) * pc == pa * pc + pb * pc
-    assert pa - pa == DimPolynomial()
-
-
-@given(coeff_lists, coeff_lists, st.integers(min_value=-6, max_value=6))
-def test_dim_poly_eval_is_a_homomorphism(a, b, x):
-    pa, pb = DimPolynomial(a), DimPolynomial(b)
-    assert (pa + pb).eval_at(x) == pa.eval_at(x) + pb.eval_at(x)
-    assert (pa * pb).eval_at(x) == pa.eval_at(x) * pb.eval_at(x)
-
-
 @given(coeff_lists)
 def test_dim_poly_json_round_trip(a):
     p = DimPolynomial(a)
     data = p.to_json()
     assert all(isinstance(s, str) for s in data)
-    assert DimPolynomial.from_json(data) == p
+    assert tuple(int(s) for s in data) == p.coeffs
 
 
 def test_dim_poly_json_survives_huge_coefficients():
     p = DimPolynomial((10**40, -(10**41), 7))
-    assert DimPolynomial.from_json(p.to_json()) == p
+    assert tuple(int(s) for s in p.to_json()) == p.coeffs
 
 
 def test_m_poly_str():
@@ -101,10 +75,6 @@ def test_m_poly_str():
 
 
 def test_m_poly_scalar_interop():
-    p = MPolynomial((0, Fraction(1, 2)))
-    assert p + 0 == p
-    assert 2 * p == MPolynomial((0, 1))
-    assert p - p == 0
     assert MPolynomial((3,)) == 3
     assert MPolynomial() == 0
     assert not MPolynomial((0, 1)) == 1
@@ -114,17 +84,14 @@ def test_m_poly_eval_and_terms():
     p = MPolynomial((0, 4, 4))
     assert p.eval_at(3) == 48
     assert p.degree == 2
-    assert p.constant_term == 0
+    assert p.coefficient(0) == 0
     assert p.coefficient(5) == 0
 
 
-@given(st.lists(st.fractions(max_denominator=12), max_size=5),
-       st.lists(st.fractions(max_denominator=12), max_size=5))
-def test_m_poly_ring_and_json(a, b):
-    pa, pb = MPolynomial(a), MPolynomial(b)
-    assert pa * pb == pb * pa
-    assert pa + pb == pb + pa
-    assert MPolynomial.from_json(pa.to_json()) == pa
+@given(st.lists(st.fractions(max_denominator=12), max_size=5))
+def test_m_poly_json_round_trip(a):
+    p = MPolynomial(a)
+    assert tuple(Fraction(s) for s in p.to_json()) == p.coeffs
 
 
 def test_series_construction_pads_and_validates():
@@ -147,42 +114,11 @@ def test_series_coefficient_beyond_cap_raises():
         s.coefficient(-1)
 
 
-def test_series_product_geometric_identity():
-    # (1/(1+u)) * (1/(1-u)) agrees with 1/(1-u^2) at every shared order
-    a = TruncatedSeries(2, [1, -1, 1])
-    b = TruncatedSeries(2, [1, 1, 1])
-    assert a * b == TruncatedSeries(2, [1, 0, 1])
-
-
-def test_series_product_truncates_to_smaller_cap():
-    u2 = TruncatedSeries.single_term(2, 1, 1)
-    u5 = TruncatedSeries.single_term(5, 1, 1)
-    prod = u2 * u5
-    assert prod.cap == 2
-    assert prod == TruncatedSeries(2, [0, 0, 1])
-
-
 def test_series_identity_and_zero():
-    one = TruncatedSeries(3, [1])
     s = TruncatedSeries(3, [0, 1, Fraction(1, 2)])
-    assert s * one == s
     assert TruncatedSeries(3).is_zero()
     assert not s.is_zero()
     assert TruncatedSeries(3).eval_at(Fraction(1, 4)) == 0
-
-
-def test_series_scale():
-    s = TruncatedSeries(2, [0, 1, 1])
-    assert s.scale(0).is_zero()
-    half = s.scale(Fraction(-1, 2))
-    assert half == TruncatedSeries(2, [0, Fraction(-1, 2), Fraction(-1, 2)])
-    assert s * Fraction(-1, 2) == half
-
-
-def test_series_scale_m_coefficients():
-    lead = TruncatedSeries(2, [0, 0, MPolynomial((0, 4, 4))])
-    quartered = lead.scale(Fraction(1, 4))
-    assert quartered.coefficient(2) == MPolynomial((0, 1, 1))
 
 
 def test_series_eval_requires_m_only_when_needed():
@@ -197,22 +133,15 @@ def test_series_eval_requires_m_only_when_needed():
 def test_series_json_round_trip_mixed_coefficients():
     s = TruncatedSeries(3, [Fraction(1, 3), 0, MPolynomial((0, 2, 1)), 5])
     data = s.to_json()
-    assert data["var"] == "u"
-    assert data["cap"] == 3
-    back = TruncatedSeries.from_json(data)
-    assert back == s
-    with pytest.raises(ValueError):
-        TruncatedSeries.from_json({"var": "x", "cap": 1, "terms": ["0"]})
-
-
-@given(st.lists(st.fractions(max_denominator=8), min_size=1, max_size=4),
-       st.lists(st.fractions(max_denominator=8), min_size=1, max_size=4))
-def test_series_mul_commutes(a, b):
-    cap = 3
-    sa = TruncatedSeries(cap, a[: cap + 1])
-    sb = TruncatedSeries(cap, b[: cap + 1])
-    assert sa * sb == sb * sa
-    assert sa + sb == sb + sa
+    assert data == {
+        "var": "u", "cap": 3, "terms": ["1/3", "0", ["0", "2", "1"], "5"],
+    }
+    back = tuple(
+        MPolynomial(Fraction(c) for c in t) if isinstance(t, list)
+        else Fraction(t)
+        for t in data["terms"]
+    )
+    assert back == s.terms
 
 
 def _coefficient_forms(draw_ints):

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from cemoments import traces
 from cemoments.algebra import MPolynomial
 from cemoments.moments import moment_series
 from cemoments.partitions import (
@@ -21,6 +22,7 @@ from cemoments.partitions import (
     cycle_type,
     inverse,
     partitions_no_ones_up_to_rank,
+    partitions_of,
     permutation_of_type,
     rank,
     z_weight,
@@ -393,12 +395,26 @@ def test_index_cycle_count_spot_values():
 
 
 def test_m_degree_never_exceeds_u_power():
-    for (lam, mu) in EXPECTED:
-        series = trace_moment(lam, mu, 4).series
-        for k in range(series.cap + 1):
-            poly = series.coefficient(k)
-            if isinstance(poly, MPolynomial) and poly:
-                assert poly.degree <= k
+    # at most one index cycle per z-side variable tie: deg <= min(k, n)
+    for n in (1, 2, 3):
+        cap = max(4, n + 2)
+        for lam, mu in itertools.product(partitions_of(n), repeat=2):
+            series = trace_moment(lam, mu, cap).series
+            for k in range(cap + 1):
+                assert series.coefficient(k).degree <= min(k, n)
+
+
+def test_m_degree_above_factor_count_is_rejected(monkeypatch):
+    # one rank-1 pattern with n+1 index cycles: M^(n+1) at u^(n+1)
+    lam = (2,)
+    n = sum(lam)
+    monkeypatch.setattr(
+        traces, "weighted_patterns",
+        lambda *args: iter([(1, tuple(range(2 * n)), 1)]),
+    )
+    monkeypatch.setattr(traces, "index_cycle_count", lambda *args: n + 1)
+    with pytest.raises(AssertionError):
+        trace_moment(lam, lam, n + 1)
 
 
 def test_block_sum_assembly_matches_entry_series():
@@ -486,6 +502,12 @@ def test_large_n_limits():
         got = large_n_limit(lam)
         assert got == want
         assert got == 2 ** len(lam) * z_weight(lam)
+        # the u^0 coefficient summed over every order through cap n+2
+        n = sum(lam)
+        series = trace_moment(lam, lam, n + 2).series
+        assert got == sum(
+            series.coefficient(k).coefficient(k) for k in range(n, n + 3)
+        )
 
 
 def test_regime_reports():
