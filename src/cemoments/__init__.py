@@ -2,12 +2,12 @@
 
 The symbolic half enumerates Wick pairings of a hidden Gaussian model and
 assembles truncated series in u = 1/Omega with exact rational coefficients;
-the numeric half samples the ensembles and cross-checks the series.
+the numeric half samples the ensembles and cross-checks the series. Only
+the sampler needs numpy, and it is imported on first use of its names.
 """
 
 from .algebra import DimPolynomial, MPolynomial, TruncatedSeries
 from .moments import EnsembleParams, MomentSeries, moment_series
-from .montecarlo import SampleConfig, estimate_moment, sample_coe, sample_cue
 from .partitions import (
     partitions_no_ones_up_to_rank,
     permutation_of_type,
@@ -30,6 +30,16 @@ from .wick import (
 )
 
 __version__ = "0.1.0"
+
+_SAMPLER = {"SampleConfig", "estimate_moment", "sample_coe", "sample_cue"}
+
+
+def __getattr__(name):
+    """Load the numpy sampler on first use of its names (PEP 562)."""
+    if name in _SAMPLER:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "DimPolynomial",

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 
-from . import montecarlo
 from .algebra import format_terms, power_of
 from .moments import cancellation_report, moment_series
 from .partitions import normalize_partition
@@ -44,14 +43,6 @@ def positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _default_workers():
-    env = os.environ.get("CEMOMENTS_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def format_pattern_series(series, n):
@@ -177,13 +168,33 @@ def _verify_catalan(args, emit):
     return failures
 
 
-def _verify_mc_coe(args, emit):
-    failures = 0
+def _mc_coe_inputs(args):
+    """Sampler config and named observables; bad input raises ValueError."""
+    from . import montecarlo  # the only module that needs numpy
+
     N, M = args.N, args.M
     cfg = montecarlo.SampleConfig(
         ensemble="COE", N=N, sample_count=args.samples,
         rng_seed=args.seed,
     )
+    entry = montecarlo.EntryMoment
+    observables = {"|W[0,0]|^2": entry(((0, 0, False), (0, 0, True)))}
+    if N >= 2:
+        observables["|W[0,1]|^2"] = entry(((0, 1, False), (0, 1, True)))
+    for part in (1, 2):
+        observables[f"|p_({part})(B)|^2"] = montecarlo.BlockTraceMoment(
+            (part,), (part,), M)
+    for obs in observables.values():
+        obs.check(N)
+    return cfg, observables
+
+
+def _verify_mc_coe(args, emit):
+    from . import montecarlo
+
+    failures = 0
+    N, M = args.N, args.M
+    cfg, observables = _mc_coe_inputs(args)
     print(f"seed={args.seed} generator={montecarlo.GENERATOR_NAME}",
           file=sys.stderr if args.json else sys.stdout)
 
@@ -193,38 +204,17 @@ def _verify_mc_coe(args, emit):
         for s in ms.pattern_map.values()
     )
     values = ms.evaluate_at(N)
-    diag = sum(values.values())
-    offdiag = None
-    if N >= 2:
-        for p, v in values.items():
-            if p == (0, 1):  # the straight-through pattern only
-                offdiag = v
-
-    checks = [
-        ("|W[0,0]|^2", montecarlo.EntryMoment(((0, 0, False), (0, 0, True))),
-         diag, entry_allow, None),
-    ]
-    if offdiag is not None:
-        checks.append(
-            ("|W[0,1]|^2",
-             montecarlo.EntryMoment(((0, 1, False), (0, 1, True))),
-             offdiag, entry_allow, None)
-        )
-    t1 = trace_moment((1,), (1,), 4, workers=args.workers)
-    checks.append(
-        ("|p_(1)(B)|^2", montecarlo.BlockTraceMoment((1,), (1,), M),
-         t1.value_at(N, M), montecarlo.trace_truncation_allowance(t1, N, M),
-         M)
-    )
-    t2 = trace_moment((2,), (2,), 4, workers=args.workers)
-    checks.append(
-        ("|p_(2)(B)|^2", montecarlo.BlockTraceMoment((2,), (2,), M),
-         t2.value_at(N, M), montecarlo.trace_truncation_allowance(t2, N, M),
-         M)
-    )
+    targets = [(sum(values.values()), entry_allow, None)]
+    if N >= 2:  # the straight-through pattern only
+        targets.append((values[(0, 1)], entry_allow, None))
+    for part in (1, 2):
+        t = trace_moment((part,), (part,), 4, workers=args.workers)
+        targets.append((t.value_at(N, M),
+                        montecarlo.trace_truncation_allowance(t, N, M), M))
     estimates = montecarlo.estimate_moment(
-        cfg, [obs for _, obs, _, _, _ in checks], workers=args.workers)
-    for (name, _, symbolic, allowance, m_used), est in zip(checks, estimates):
+        cfg, observables.values(), workers=args.workers)
+    for name, (symbolic, allowance, m_used), est in zip(
+            observables, targets, estimates):
         rep = montecarlo.compare(symbolic, est, sigma_tol=4.0,
                                  trunc_bound=allowance, observable=name,
                                  N=N, M=m_used)
@@ -253,6 +243,8 @@ def cmd_verify(args):
         to_run = list(suites.values())
     else:
         to_run = [suites[args.suite]]
+    if _verify_mc_coe in to_run:
+        _mc_coe_inputs(args)  # bad sampler input fails before any output
     failures = sum(fn(args, emit) for fn in to_run)
     if not args.json:
         print("all checks passed" if failures == 0
@@ -269,7 +261,7 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--workers", type=positive_int,
-                       default=_default_workers(),
+                       default=os.environ.get("CEMOMENTS_WORKERS", "1"),
                        help="process count for enumeration/sampling "
                             "(default: CEMOMENTS_WORKERS or 1)")
         p.add_argument("--json", action="store_true",

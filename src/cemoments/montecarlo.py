@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,6 +186,7 @@ def estimate_moment(cfg, observables, workers=1):
     if workers <= 1:
         batches = [_batch_mean(*job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_batch_mean, *job) for job in jobs]
             batches = [f.result() for f in futures]  # batch order, always

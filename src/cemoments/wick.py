@@ -55,7 +55,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .algebra import DimPolynomial
@@ -292,6 +291,7 @@ def get_diagram_sums(beta, n, strata, workers=1):
     )
     workers = min(workers, len(missing), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(lam, pool.submit(get_diagram_sum, beta, n, lam))
                        for lam in missing]

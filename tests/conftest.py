@@ -1,18 +1,19 @@
 """Shared fixtures."""
 
+import concurrent.futures
 import os
-from concurrent.futures import Future
 
 import pytest
 
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Swap a module's ProcessPoolExecutor for an inline recorder.
+    """Swap concurrent.futures.ProcessPoolExecutor for an inline recorder.
 
-    Calling the fixture with a module patches it, pins os.cpu_count() to 4
-    and returns the list that collects each pool's max_workers, so pool
-    sizing is tested without starting a process.
+    The engine imports the executor only where it starts a pool, so the
+    patch goes on concurrent.futures itself. The fixture pins
+    os.cpu_count() to 4 and is the list that collects each pool's
+    max_workers, so pool sizing is tested without starting a process.
     """
     sizes = []
 
@@ -27,13 +28,10 @@ def fake_pool(monkeypatch):
             return False
 
         def submit(self, fn, *args):
-            future = Future()
+            future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
 
-    def install(module):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        return sizes
-
-    return install
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return sizes

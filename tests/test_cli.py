@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from cemoments import cli
 from cemoments.cli import build_parser, main, parse_partition
 
 
@@ -48,8 +49,9 @@ def test_workers_default_comes_from_environment(monkeypatch):
     args = build_parser().parse_args(["jpoly", "--lambda", "2"])
     assert args.workers == 3
     monkeypatch.setenv("CEMOMENTS_WORKERS", "not-a-number")
-    args = build_parser().parse_args(["jpoly", "--lambda", "2"])
-    assert args.workers == 1
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["jpoly", "--lambda", "2"])
+    assert exc.value.code == 2
     args = build_parser().parse_args(["jpoly", "--lambda", "2",
                                       "--workers", "2"])
     assert args.workers == 2
@@ -62,6 +64,18 @@ def test_workers_below_one_exit_with_usage_error(capsys, workers):
     assert exc.value.code == 2
     _, err = capsys.readouterr()
     assert "--workers" in err and "at least 1" in err
+
+
+@pytest.mark.parametrize("env", ["0", "-3", "abc"])
+def test_bad_workers_environment_exits_with_usage_error(capsys, monkeypatch,
+                                                        env):
+    monkeypatch.setenv("CEMOMENTS_WORKERS", env)
+    with pytest.raises(SystemExit) as exc:
+        main(["jpoly", "--lambda", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--workers" in err
+    assert main(["jpoly", "--lambda", "2", "--workers", "1"]) == 0
 
 
 # ---------------------------------------------------------------------
@@ -289,6 +303,23 @@ def test_verify_mc_coe_json_puts_seed_on_stderr(capsys):
     assert all(row["verdict"] == "pass" for row in rows)
     assert {row["observable"] for row in rows} == {
         "|W[0,0]|^2", "|W[0,1]|^2", "|p_(1)(B)|^2", "|p_(2)(B)|^2"}
+
+
+@pytest.mark.parametrize("suite", ["mc-coe", "all"])
+@pytest.mark.parametrize("bad", [("--N", "8", "--M", "9"),
+                                 ("--samples", "1"), ("--N", "0")])
+def test_verify_mc_coe_rejects_bad_input_before_any_work(capsys, monkeypatch,
+                                                         suite, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed a series before checking the input")
+
+    monkeypatch.setattr(cli, "moment_series", no_work)
+    monkeypatch.setattr(cli, "cancellation_report", no_work)
+    monkeypatch.setattr(cli, "trace_moment", no_work)
+    code, out, err = run_cli(capsys, "verify", suite, *bad)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_all_json(capsys):

@@ -163,7 +163,7 @@ def _four_observables(N):
 
 @pytest.mark.parametrize("ensemble", ["CUE", "COE"])
 def test_joint_estimate_equals_single_estimates(ensemble, fake_pool):
-    sizes = fake_pool(montecarlo)
+    sizes = fake_pool
     cfg = SampleConfig(ensemble=ensemble, N=4, sample_count=600,
                        rng_seed=2024, batch_count=6)
     observables = _four_observables(cfg.N)
@@ -293,7 +293,7 @@ def test_block_trace_separates_engine_from_retained_reference():
 
 
 def test_sampling_pool_is_bounded_by_batches_and_cpus(fake_pool):
-    sizes = fake_pool(montecarlo)
+    sizes = fake_pool
     obs = EntryMoment(factors=((0, 0, False), (0, 0, True)))
     for batches in (3, 20):
         cfg = SampleConfig(ensemble="COE", N=3, sample_count=60,

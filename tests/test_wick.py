@@ -205,7 +205,6 @@ def _brute_force_counts(graph):
 
 
 def test_kernel_matches_brute_force_walk(fake_pool):
-    fake_pool(wick)
     for beta, max_f in [(1, 6), (2, 7)]:
         for n in (1, 2, 3):
             strata = [lam for size in range(max_f - n + 1)
@@ -277,7 +276,7 @@ def test_diagram_sum_fields():
 
 
 def test_enumeration_pool_is_bounded_by_jobs_and_cpus(fake_pool):
-    sizes = fake_pool(wick)
+    sizes = fake_pool
     three = [(2,), (3,), (2, 2), (2,)]  # three jobs: (2,) is listed twice
     six = [(), (2,), (3,), (4,), (2, 2), (3, 2)]
     for strata in (three, six):
@@ -299,7 +298,7 @@ def test_results_follow_the_order_asked_not_the_schedule(fake_pool,
                                                          monkeypatch):
     # jobs are submitted largest stratum first; the results must still
     # come back, and be summed, in partition order
-    sizes = fake_pool(wick)
+    sizes = fake_pool
     serial_moment = moment_series(ExternalSpec(2, 2), 6, workers=1)
     serial_trace = trace_moment((2,), (2,), 6, workers=1)
     clear_diagram_cache()
