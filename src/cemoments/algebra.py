@@ -9,6 +9,7 @@ carry an explicit truncation cap and refuse to report coefficients beyond it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,7 +84,8 @@ class DimPolynomial:
     coeffs: tuple
 
     def __init__(self, coeffs=()):
-        cleaned = _strip_trailing_zeros(int(c) for c in coeffs)
+        # index(), not int(): 1.5 or "3" is an error, not a silent int
+        cleaned = _strip_trailing_zeros(operator.index(c) for c in coeffs)
         object.__setattr__(self, "coeffs", cleaned)
 
     @property

@@ -69,8 +69,9 @@ def weighted_patterns(beta, n, max_rank, workers=1):
     """Walk every vertex stratum lam with rank(lam) <= max_rank.
 
     Yields (rank(lam), pattern, stratum_coefficient) for each delta pattern
-    of the stratum's diagram sum: the one loop behind entry moments,
-    cancellation reports and trace moments.
+    of the stratum's diagram sum. This is the one stratum loop: entry
+    moments (moment_series) and trace moments (traces.trace_moment) both
+    consume it.
     """
     strata = partitions_no_ones_up_to_rank(max_rank)
     for lam, ds in zip(strata, get_diagram_sums(beta, n, strata, workers)):
@@ -124,16 +125,3 @@ def moment_series(spec, order_cap, workers=1):
     return MomentSeries(params=EnsembleParams.for_beta(spec.beta), n=n,
                         cap=order_cap, pattern_map=pattern_map)
 
-
-def cancellation_report(n, max_rank, beta=1, workers=1):
-    """Per-rank, per-pattern sums of weighted j values.
-
-    For beta=1, n=1 the sums for ranks 1..3 vanish identically; that is the
-    mechanism making the one-point function exact.
-    """
-    by_rank = {}
-    for r, pattern, coeff in weighted_patterns(beta, n, max_rank, workers):
-        if r:
-            bucket = by_rank.setdefault(r, {})
-            bucket[pattern] = bucket.get(pattern, 0) + coeff
-    return {r: dict(sorted(v.items())) for r, v in sorted(by_rank.items())}

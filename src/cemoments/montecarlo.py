@@ -41,6 +41,8 @@ class SampleConfig:
             raise ValueError("N must be >= 1")
         if not (self.sample_count >= self.batch_count >= 2):
             raise ValueError("need sample_count >= batch_count >= 2")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 def sample_cue(N, rng, size=None):
@@ -78,13 +80,6 @@ class EntryMoment:
             out = out * (np.conj(vals) if conj else vals)
         return out
 
-    def describe(self):
-        bits = []
-        for i, j, conj in self.factors:
-            name = f"W[{i},{j}]"
-            bits.append(f"conj({name})" if conj else name)
-        return "*".join(bits)
-
 
 @dataclass(frozen=True)
 class BlockTraceMoment:
@@ -115,11 +110,6 @@ class BlockTraceMoment:
         for part in self.mu:
             out = out * np.conj(tr_power(part))
         return out
-
-    def describe(self):
-        lam = ",".join(map(str, self.lam))
-        mu = ",".join(map(str, self.mu))
-        return f"p_({lam})(B) * conj(p_({mu})(B)), M={self.M}"
 
 
 @dataclass(frozen=True)
@@ -193,52 +183,13 @@ def estimate_moment(cfg, observables, workers=1):
     return [_combine(cfg, sizes, means) for means in zip(*batches)]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    observable: str
-    N: int
-    M: int | None
-    symbolic: float
-    mean: complex
-    std_error: float
-    trunc_bound: float
-    sigma_tol: float
-    verdict: str
-
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-    def to_json(self):
-        return {
-            "observable": self.observable,
-            "N": self.N,
-            "M": self.M,
-            "symbolic": self.symbolic,
-            "mean": [self.mean.real, self.mean.imag],
-            "stderr": self.std_error,
-            "trunc_bound": self.trunc_bound,
-            "verdict": self.verdict,
-        }
-
-
-def compare(symbolic, estimate, sigma_tol=4.0, trunc_bound=0.0,
-            observable="", N=0, M=None):
-    """Pass iff |mean - symbolic| <= sigma_tol * stderr + trunc_bound."""
-    symbolic_f = float(symbolic)
-    gap = abs(estimate.mean - symbolic_f)
+def compare(symbolic, estimate, sigma_tol=4.0, trunc_bound=0.0):
+    """The verdict: "pass" iff |mean - symbolic| <= sigma_tol * stderr +
+    trunc_bound, else "fail".
+    """
+    gap = abs(estimate.mean - float(symbolic))
     ok = gap <= sigma_tol * estimate.std_error + trunc_bound
-    return ComparisonReport(
-        observable=observable,
-        N=N,
-        M=M,
-        symbolic=symbolic_f,
-        mean=estimate.mean,
-        std_error=estimate.std_error,
-        trunc_bound=trunc_bound,
-        sigma_tol=sigma_tol,
-        verdict="pass" if ok else "fail",
-    )
+    return "pass" if ok else "fail"
 
 
 def trace_truncation_allowance(result, N, M):
@@ -248,7 +199,7 @@ def trace_truncation_allowance(result, N, M):
             default=0)
     n = result.n
     k1 = series.cap + 1
-    u = 1.0 / (N + 1)
+    u = float(EnsembleParams.for_beta(1).u_of_N(N))
     return float(c) * u ** k1 * float(M) ** min(k1, 2 * n)
 
 

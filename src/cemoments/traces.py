@@ -28,7 +28,7 @@ from .algebra import (
     format_terms,
     power_of,
 )
-from .moments import weighted_patterns
+from .moments import EnsembleParams, weighted_patterns
 from .partitions import normalize_partition, permutation_of_type
 
 
@@ -62,7 +62,7 @@ class TraceMomentResult:
             raise ValueError("need matrix size N >= 1 and block size M >= 0")
         if M > N:
             raise ValueError("block size M cannot exceed N")
-        return self.series.eval_at(Fraction(1, N + 1), m=M)
+        return self.series.eval_at(EnsembleParams.for_beta(1).u_of_N(N), m=M)
 
     def format(self):
         if self.selection_rule_zero:
@@ -171,13 +171,13 @@ def trace_moment(lam, mu, cap, workers=1):
     )
 
 
-def _large_m_coefficients(series, n_start, xi_power=False):
-    """Coefficients after substituting M = (1-u)/u (times xi, optionally).
+def _large_m_coefficients(series, n_start):
+    """Coefficients after substituting M = xi (1-u)/u.
 
-    u^k M^j becomes u^(k-j) (1-u)^j, never a negative power here because
-    coefficients at u^k have M-degree <= k. Entry m of the result is the
-    u^m coefficient as a dict from xi-power to Fraction; every value sits at
-    key 0 unless xi_power is set.
+    u^k M^j becomes xi^j u^(k-j) (1-u)^j, never a negative power here
+    because coefficients at u^k have M-degree <= k. Entry m of the result is
+    the u^m coefficient as a dict from xi-power to Fraction; at M = N
+    (xi = 1) it is the sum of the dict's values.
     """
     cap = series.cap
     out = [dict() for _ in range(cap + 1)]
@@ -193,8 +193,7 @@ def _large_m_coefficients(series, n_start, xi_power=False):
                 if m > cap:
                     break
                 term = c * comb(j, t) * (-1) ** t
-                key = j if xi_power else 0
-                out[m][key] = out[m].get(key, Fraction(0)) + term
+                out[m][j] = out[m].get(j, Fraction(0)) + term
     return out
 
 
@@ -241,20 +240,15 @@ def regime_asymptotics(lam, mu, regime, cap=None, workers=1):
                 break
     else:
         final_below = max(0, cap + 1 - 2 * n)
-        with_xi = regime == "M=xiN"
-        subbed = _large_m_coefficients(result.series, n, xi_power=with_xi)
+        subbed = _large_m_coefficients(result.series, n)
         for m in range(final_below):
-            bucket = {k: v for k, v in subbed[m].items() if v != 0}
-            if not bucket:
-                continue
-            if with_xi:
-                body = _format_poly(
-                    [bucket.get(j, 0) for j in range(max(bucket) + 1)], "xi"
-                )
-            else:
-                body = str(bucket[0])
-            leading = (body, m)
-            break
+            # xi-powers are M-powers, at most n (trace_moment's bound)
+            coeffs = [subbed[m].get(j, 0) for j in range(n + 1)]
+            if regime == "M=N":
+                coeffs = [sum(coeffs)]
+            if any(coeffs):
+                leading = (_format_poly(coeffs, "xi"), m)
+                break
     if leading is None:
         return RegimeReport(regime=regime,
                             leading="indeterminate at this cap",

@@ -84,17 +84,15 @@ class ExternalSpec:
 class SlotGraph:
     """Integrand structure: factor counts plus trace identifications.
 
-    trace_from_z[s] is the zbar-slot identified with z-slot s, or -1 when s
-    is external; trace_from_zbar is the reverse direction. Exactly the
-    internal slots carry an identification, and identifications always join
-    opposite sides.
+    trace_from_zbar[s] is the z-slot identified with zbar-slot s, or -1 when
+    s is external. It maps the internal zbar-slots one to one onto the
+    internal z-slots; this one direction is all the kernel reads.
     """
 
     beta: int
     n: int
     vertex_type: tuple
     factor_count: int
-    trace_from_z: tuple
     trace_from_zbar: tuple
 
 
@@ -103,7 +101,6 @@ def build_slot_graph(spec, lam):
     lam = normalize_partition(lam, allow_ones=False)
     n = spec.n
     total = n + sum(lam)
-    trace_from_z = [-1] * (2 * total)
     trace_from_zbar = [-1] * (2 * total)
     offset = n
     for q in lam:
@@ -111,18 +108,15 @@ def build_slot_graph(spec, lam):
             zf = offset + t
             zf_next = offset + (t + 1) % q
             # shared column of z_t and zb_t
-            trace_from_z[2 * zf + 1] = 2 * zf + 1
             trace_from_zbar[2 * zf + 1] = 2 * zf + 1
             # row of zb_t feeds row of z_{t+1}
             trace_from_zbar[2 * zf] = 2 * zf_next
-            trace_from_z[2 * zf_next] = 2 * zf
         offset += q
     graph = SlotGraph(
         beta=spec.beta,
         n=n,
         vertex_type=lam,
         factor_count=total,
-        trace_from_z=tuple(trace_from_z),
         trace_from_zbar=tuple(trace_from_zbar),
     )
     _check_graph(graph)
@@ -131,15 +125,11 @@ def build_slot_graph(spec, lam):
 
 def _check_graph(graph):
     two_n = 2 * graph.n
-    for s in range(2 * graph.factor_count):
-        z_ext = graph.trace_from_z[s] < 0
-        zb_ext = graph.trace_from_zbar[s] < 0
-        if s < two_n:
-            if not (z_ext and zb_ext):
-                raise AssertionError("external slot carries a trace edge")
-        else:
-            if z_ext or zb_ext:
-                raise AssertionError("internal slot missing a trace edge")
+    ties = graph.trace_from_zbar
+    if any(s >= 0 for s in ties[:two_n]):
+        raise AssertionError("external slot carries a trace edge")
+    if sorted(ties[two_n:]) != list(range(two_n, len(ties))):
+        raise AssertionError("internal slots are not tied one to one")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,13 @@ def test_dim_poly_strips_trailing_zeros_and_is_canonical():
     assert DimPolynomial((3,))
 
 
+@pytest.mark.parametrize("coeffs", [(1.5, 2.9), ("3",)])
+def test_dim_poly_rejects_non_integer_coefficients(coeffs):
+    # int() would truncate 1.5 and parse "3"; only true integers are taken
+    with pytest.raises(TypeError):
+        DimPolynomial(coeffs)
+
+
 def test_dim_poly_str_descending():
     assert str(DimPolynomial(J_PAIR)) == "2d^3+4d^2+10d+8"
     assert str(DimPolynomial(J_QUAD)) == "14d^5+64d^4+242d^3+528d^2+688d+384"

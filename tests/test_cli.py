@@ -305,16 +305,29 @@ def test_verify_mc_coe_json_puts_seed_on_stderr(capsys):
         "|W[0,0]|^2", "|W[0,1]|^2", "|p_(1)(B)|^2", "|p_(2)(B)|^2"}
 
 
+def test_verify_mc_coe_json_row_keys(capsys):
+    code, out, _ = run_cli(capsys, "verify", "mc-coe", "--samples", "2000",
+                           "--seed", "7", "--json")
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert code in (0, 1) and len(rows) == 4
+    keys = ["observable", "N", "M", "symbolic", "mean", "stderr",
+            "trunc_bound", "verdict"]
+    assert all(list(row) == keys for row in rows)
+    assert [row["M"] for row in rows] == [None, None, 3, 3]
+    assert all(row["N"] == 8 and len(row["mean"]) == 2 for row in rows)
+    assert all(row["verdict"] in ("pass", "fail") for row in rows)
+
+
 @pytest.mark.parametrize("suite", ["mc-coe", "all"])
 @pytest.mark.parametrize("bad", [("--N", "8", "--M", "9"),
-                                 ("--samples", "1"), ("--N", "0")])
+                                 ("--samples", "1"), ("--N", "0"),
+                                 ("--seed", "-1")])
 def test_verify_mc_coe_rejects_bad_input_before_any_work(capsys, monkeypatch,
                                                          suite, bad):
     def no_work(*args, **kwargs):
         raise AssertionError("computed a series before checking the input")
 
     monkeypatch.setattr(cli, "moment_series", no_work)
-    monkeypatch.setattr(cli, "cancellation_report", no_work)
     monkeypatch.setattr(cli, "trace_moment", no_work)
     code, out, err = run_cli(capsys, "verify", suite, *bad)
     assert code == 2

@@ -7,7 +7,6 @@ import pytest
 from cemoments.algebra import TruncatedSeries
 from cemoments.moments import (
     EnsembleParams,
-    cancellation_report,
     moment_series,
     stratum_coefficient,
 )
@@ -61,12 +60,11 @@ def test_stratum_coefficient_untwisted_uses_constant_term():
         assert got == want
 
 
-def test_cancellation_report_vanishes_through_rank_3():
-    report = cancellation_report(n=1, max_rank=3, beta=1)
-    assert sorted(report) == [1, 2, 3]
-    for r, bucket in report.items():
-        assert set(bucket) == {(0, 1), (1, 0)}
-        assert all(v == 0 for v in bucket.values())
+def test_rank_1_to_3_corrections_vanish():
+    ms = moment_series(ExternalSpec(beta=1, n=1), 4)
+    assert set(ms.pattern_map) == {(0, 1), (1, 0)}
+    for series in ms.pattern_map.values():
+        assert [series.coefficient(1 + r) for r in (1, 2, 3)] == [0, 0, 0]
 
 
 def test_cancellation_breakdown_by_stratum():
@@ -109,10 +107,14 @@ def test_cue_two_point_series():
 def test_series_orders_match_stratum_ranks():
     # coefficient at u^(1+r) is the rank-r weighted sum, nothing else
     ms = moment_series(ExternalSpec(beta=1, n=1), 4)
-    report = cancellation_report(n=1, max_rank=3, beta=1)
     for pattern, series in ms.pattern_map.items():
         for r in (1, 2, 3):
-            assert series.coefficient(1 + r) == report[r][pattern]
+            want = sum(
+                stratum_coefficient(
+                    1, lam, get_diagram_sum(1, 1, lam).pattern_map[pattern])
+                for lam in partitions_no_ones_up_to_rank(3) if rank(lam) == r
+            )
+            assert series.coefficient(1 + r) == want
 
 
 def test_evaluate_at_N():

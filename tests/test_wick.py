@@ -51,30 +51,29 @@ def test_external_spec_validation():
 def test_slot_graph_no_vertices():
     g = build_slot_graph(ExternalSpec(beta=1, n=1), ())
     assert g.factor_count == 1
-    # no internal identifications at all: both sides fully external
-    assert set(g.trace_from_z) == {-1}
-    assert set(g.trace_from_zbar) == {-1}
+    # no internal identifications at all: every slot is external
+    assert g.trace_from_zbar == (-1, -1)
 
 
 def test_slot_graph_single_pair_vertex():
     g = build_slot_graph(ExternalSpec(beta=1, n=1), (2,))
     assert g.factor_count == 3
-    ties_z = sum(1 for s in g.trace_from_z if s >= 0)
     ties_zbar = sum(1 for s in g.trace_from_zbar if s >= 0)
-    assert ties_z == 4 and ties_zbar == 4
+    assert ties_zbar == 4
     # externals stay free
-    assert g.trace_from_z[0] == -1 and g.trace_from_z[1] == -1
     assert g.trace_from_zbar[0] == -1 and g.trace_from_zbar[1] == -1
+    # col(zb_t) = col(z_t); row(zb_t) = row(z_{t+1}) around the ring
+    assert g.trace_from_zbar == (-1, -1, 4, 3, 2, 5)
 
 
 def test_slot_graph_two_vertices():
     g = build_slot_graph(ExternalSpec(beta=1, n=3), (4, 3))
     assert g.factor_count == 10
     assert g.vertex_type == (4, 3)
-    # every internal slot is wired exactly once on each side
+    # the internal zbar-slots map one to one onto the internal z-slots
     internal = range(6, 20)
-    assert all(g.trace_from_z[s] >= 0 for s in internal)
     assert all(g.trace_from_zbar[s] >= 0 for s in internal)
+    assert sorted(g.trace_from_zbar[6:]) == list(internal)
 
 
 def test_slot_graph_rejects_parts_of_one():
