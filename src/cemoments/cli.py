@@ -11,6 +11,8 @@ the engine rejects with a ValueError prints "error: ..." and exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -130,11 +132,10 @@ def cmd_trace(args):
 CATALAN = {1: 1, 2: 2, 3: 5, 4: 14}
 
 
-def _verify_cancellations(args, emit):
+def _verify_cancellations(entry_series, emit):
     failures = 0
     # the u^(1+r) coefficient sums exactly the rank-r strata
-    series = moment_series(ExternalSpec(beta=1, n=1), 4,
-                           workers=args.workers).pattern_map.values()
+    series = entry_series.pattern_map.values()
     for r in (1, 2, 3):
         ok = series and all(s.coefficient(1 + r) == 0 for s in series)
         emit({"check": f"rank-{r} cancellation", "verdict":
@@ -169,7 +170,10 @@ def _verify_catalan(args, emit):
 
 
 def _mc_coe_inputs(args):
-    """Sampler config and named observables; bad input raises ValueError."""
+    """Sampler config and named observables; bad input raises ValueError.
+
+    The config draws only the corner of W that the observables read.
+    """
     from . import montecarlo  # the only module that needs numpy
 
     N, M = args.N, args.M
@@ -186,19 +190,19 @@ def _mc_coe_inputs(args):
             (part,), (part,), M)
     for obs in observables.values():
         obs.check(N)
-    return cfg, observables
+    corner = max(obs.extent for obs in observables.values())
+    return dataclasses.replace(cfg, corner=corner), observables
 
 
-def _verify_mc_coe(args, emit):
+def _verify_mc_coe(args, emit, inputs, ms):
     from . import montecarlo
 
     failures = 0
     N, M = args.N, args.M
-    cfg, observables = _mc_coe_inputs(args)
+    cfg, observables = inputs
     print(f"seed={args.seed} generator={montecarlo.GENERATOR_NAME}",
           file=sys.stderr if args.json else sys.stdout)
 
-    ms = moment_series(ExternalSpec(beta=1, n=1), 4, workers=args.workers)
     entry_allow = sum(
         montecarlo.entry_truncation_allowance(s, N, beta=1)
         for s in ms.pattern_map.values()
@@ -237,18 +241,23 @@ def cmd_verify(args):
         else:
             print(text)
 
+    # bad sampler input fails before any output
+    mc_inputs = (_mc_coe_inputs(args) if args.suite in ("mc-coe", "all")
+                 else None)
+
+    @functools.cache
+    def entry_series():  # two suites read the n=1 COE entry series
+        return moment_series(ExternalSpec(beta=1, n=1), 4,
+                             workers=args.workers)
+
     suites = {
-        "cancellations": _verify_cancellations,
-        "catalan": _verify_catalan,
-        "mc-coe": _verify_mc_coe,
+        "cancellations": lambda: _verify_cancellations(entry_series(), emit),
+        "catalan": lambda: _verify_catalan(args, emit),
+        "mc-coe": lambda: _verify_mc_coe(args, emit, mc_inputs,
+                                         entry_series()),
     }
-    if args.suite == "all":
-        to_run = list(suites.values())
-    else:
-        to_run = [suites[args.suite]]
-    if _verify_mc_coe in to_run:
-        _mc_coe_inputs(args)  # bad sampler input fails before any output
-    failures = sum(fn(args, emit) for fn in to_run)
+    names = list(suites) if args.suite == "all" else [args.suite]
+    failures = sum(suites[name]() for name in names)
     if not args.json:
         print("all checks passed" if failures == 0
               else f"{failures} check(s) FAILED")

@@ -5,12 +5,20 @@ Ginibre matrix with the diagonal phase correction (plain QR is biased
 toward the sign conventions of the factorization; multiplying each column
 by r_jj/|r_jj| removes that). COE samples are S S^T.
 
+A config may ask for only the upper-left K x K corner of W. The QR of an
+N x K Ginibre matrix, with the same phase fix, gives the first K columns q
+of a Haar unitary (Mezzadri 2007, "How to generate random matrices from
+the classical compact groups"), so a corner costs O(N K^2), not O(N^3).
+The CUE corner is the top K rows of q. The COE corner is q^T q: the corner
+of S S^T is S_K S_K^T for the top K rows S_K of S, and these are the first
+K columns of S^T, which is Haar whenever S is.
+
 Reproducibility: the seed feeds a SeedSequence whose spawned children give
 one PCG64 stream per batch. Each batch is drawn once and every observable
 of the run is evaluated on that same array; batches are merged in batch
 order with sample-count weights. So a run is bit-identical for a fixed
-(seed, sample_count, batch_count), whatever the worker count and whichever
-observables share the run.
+(seed, sample_count, batch_count, corner), whatever the worker count and
+whichever observables share the run.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ class SampleConfig:
     sample_count: int
     rng_seed: int
     batch_count: int = 20
+    corner: int | None = None  # draw only W[:corner, :corner]
 
     def __post_init__(self):
         if self.ensemble not in ("CUE", "COE"):
@@ -43,22 +52,40 @@ class SampleConfig:
             raise ValueError("need sample_count >= batch_count >= 2")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed}")
+        if self.corner is not None and not 1 <= self.corner <= self.N:
+            raise ValueError(f"corner must satisfy 1 <= corner <= "
+                             f"N={self.N}, got {self.corner}")
 
 
-def sample_cue(N, rng, size=None):
-    """Haar unitaries, one (N, N) matrix or a (size, N, N) stack."""
-    shape = (N, N) if size is None else (size, N, N)
+def _haar_columns(N, k, rng, size):
+    """First k columns of a Haar unitary, (N, k) or a (size, N, k) stack."""
+    shape = (N, k) if size is None else (size, N, k)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(g / math.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[..., None, :]
-    return q
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def sample_coe(N, rng, size=None):
-    """Symmetric unitaries S S^T with S Haar."""
-    s = sample_cue(N, rng, size=size)
-    return s @ np.swapaxes(s, -1, -2)
+def sample_cue(N, rng, size=None, corner=None):
+    """Haar unitaries, one (N, N) matrix or a (size, N, N) stack.
+
+    With corner=K, only the upper-left K x K block of each.
+    """
+    if corner is None:
+        return _haar_columns(N, N, rng, size)
+    return _haar_columns(N, corner, rng, size)[..., :corner, :]
+
+
+def sample_coe(N, rng, size=None, corner=None):
+    """Symmetric unitaries S S^T with S Haar.
+
+    With corner=K, only the upper-left K x K block of each.
+    """
+    if corner is None:
+        s = _haar_columns(N, N, rng, size)
+        return s @ np.swapaxes(s, -1, -2)
+    q = _haar_columns(N, corner, rng, size)
+    return np.swapaxes(q, -1, -2) @ q
 
 
 @dataclass(frozen=True)
@@ -66,6 +93,11 @@ class EntryMoment:
     """Product of matrix entries: factors are (row, col, conjugate)."""
 
     factors: tuple
+
+    @property
+    def extent(self):
+        """Side of the smallest upper-left corner holding every entry."""
+        return max((max(i, j) + 1 for i, j, _ in self.factors), default=0)
 
     def check(self, N):
         for i, j, _ in self.factors:
@@ -88,6 +120,11 @@ class BlockTraceMoment:
     lam: tuple
     mu: tuple
     M: int
+
+    @property
+    def extent(self):
+        """Side of the smallest upper-left corner holding the block."""
+        return self.M
 
     def check(self, N):
         if not 0 <= self.M <= N:
@@ -127,13 +164,11 @@ def _batch_sizes(total, batches):
     return [base + (1 if b < rem else 0) for b in range(batches)]
 
 
-def _batch_mean(ensemble, N, size, seed_seq, observables):
+def _batch_mean(ensemble, N, corner, size, seed_seq, observables):
     """Draw one batch and return the mean of each observable on it."""
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    if ensemble == "CUE":
-        w = sample_cue(N, rng, size=size)
-    else:
-        w = sample_coe(N, rng, size=size)
+    sampler = sample_cue if ensemble == "CUE" else sample_coe
+    w = sampler(N, rng, size=size, corner=corner)
     return [complex(np.mean(obs.evaluate(w))) for obs in observables]
 
 
@@ -158,18 +193,24 @@ def _combine(cfg, sizes, means):
 def estimate_moment(cfg, observables, workers=1):
     """One EstimateResult per observable, all from the same batches.
 
-    Every observable is checked against cfg.N before any batch is drawn.
+    Every observable is checked against cfg.N, and against cfg.corner
+    when one is set, before any batch is drawn.
     """
     observables = tuple(observables)
     if not observables:
         raise ValueError("need at least one observable")
     for obs in observables:
         obs.check(cfg.N)
+        if cfg.corner is not None and obs.extent > cfg.corner:
+            raise ValueError(
+                f"observable reads the {obs.extent}x{obs.extent} corner, "
+                f"but the sampler draws only {cfg.corner}x{cfg.corner}")
     root = np.random.SeedSequence(cfg.rng_seed)
     children = root.spawn(cfg.batch_count)
     sizes = _batch_sizes(cfg.sample_count, cfg.batch_count)
     jobs = [
-        (cfg.ensemble, cfg.N, sizes[b], children[b], observables)
+        (cfg.ensemble, cfg.N, cfg.corner, sizes[b], children[b],
+         observables)
         for b in range(cfg.batch_count)
     ]
     workers = min(workers, len(jobs), os.cpu_count() or 1)

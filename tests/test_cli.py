@@ -335,6 +335,35 @@ def test_verify_mc_coe_rejects_bad_input_before_any_work(capsys, monkeypatch,
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("N, M, corner", [
+    (8, 3, 3), (32, 8, 8), (8, 1, 2), (8, 0, 2), (2, 2, 2), (1, 1, 1),
+    (1, 0, 1),
+])
+def test_verify_mc_coe_draws_the_corner_it_reads(N, M, corner):
+    args = build_parser().parse_args(
+        ["verify", "mc-coe", "--N", str(N), "--M", str(M)])
+    cfg, _ = cli._mc_coe_inputs(args)
+    assert (cfg.N, cfg.corner) == (N, corner)
+
+
+def test_verify_all_builds_shared_inputs_once(capsys, monkeypatch):
+    calls = {"_mc_coe_inputs": 0, "moment_series": 0}
+
+    def counting(name):
+        real = getattr(cli, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    code, out, _ = run_cli(capsys, "verify", "all", "--samples", "2000")
+    assert code in (0, 1) and out.count(" ... ") == 12
+    assert calls == {"_mc_coe_inputs": 1, "moment_series": 1}
+
+
 def test_verify_all_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "all",
                            "--samples", "20000", "--seed", "12345",

@@ -174,7 +174,7 @@ def test_joint_estimate_equals_single_estimates(ensemble, fake_pool):
 
 @pytest.fixture
 def draw_counter(monkeypatch):
-    """Count calls of sample_cue and sample_coe (a COE draw calls both)."""
+    """Count calls of sample_cue and sample_coe (one per batch drawn)."""
     counts = {"CUE": 0, "COE": 0}
 
     def counting(name, sampler):
@@ -244,6 +244,133 @@ def test_config_validation():
     # numpy's SeedSequence would reject it only after work had started
     with pytest.raises(ValueError, match="seed"):
         SampleConfig(ensemble="CUE", N=3, sample_count=100, rng_seed=-1)
+
+
+def _parent_cue(N, rng, size=None):
+    """The full Haar draw as written before corners existed."""
+    shape = (N, N) if size is None else (size, N, N)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q, r = np.linalg.qr(g / math.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _parent_coe(N, rng, size=None):
+    s = _parent_cue(N, rng, size=size)
+    return s @ np.swapaxes(s, -1, -2)
+
+
+@pytest.mark.parametrize("N", [1, 4, 7])
+@pytest.mark.parametrize("size", [None, 9])
+def test_full_draw_keeps_its_bits(N, size):
+    for sampler, reference in ((sample_cue, _parent_cue),
+                               (sample_coe, _parent_coe)):
+        got = sampler(N, np.random.Generator(np.random.PCG64(808)),
+                      size=size)
+        want = reference(N, np.random.Generator(np.random.PCG64(808)),
+                         size=size)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_corner_draws_have_the_corner_structure():
+    rng = np.random.Generator(np.random.PCG64(4242))
+    q = montecarlo._haar_columns(6, 3, rng, 40)
+    assert q.shape == (40, 6, 3)
+    gram = np.conj(np.swapaxes(q, -1, -2)) @ q
+    assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+    cue = sample_cue(6, rng, size=40, corner=3)
+    coe = sample_coe(6, rng, size=40, corner=3)
+    assert cue.shape == coe.shape == (40, 3, 3)
+    assert np.max(np.abs(coe - np.swapaxes(coe, -1, -2))) < 1e-12
+    # a corner of a unitary is a contraction
+    for w in (cue, coe):
+        assert np.max(np.linalg.norm(w, ord=2, axis=(-2, -1))) <= 1 + 1e-12
+    # the whole matrix as its own corner is unitary again
+    for w in (sample_cue(4, rng, size=10, corner=4),
+              sample_coe(4, rng, size=10, corner=4)):
+        prod = w @ np.conj(np.swapaxes(w, -1, -2))
+        assert np.max(np.abs(prod - np.eye(4))) < 1e-12
+    assert sample_coe(4, rng, corner=2).shape == (2, 2)
+
+
+@pytest.mark.parametrize("ensemble, exact", [
+    # E|W00|^2, E|W01|^2, E|W00|^4, E W10 at N = 5: for COE 2/(N+1),
+    # 1/(N+1), 8/((N+1)(N+3)); for CUE 1/N, 1/N, 2/(N(N+1)); zero for both
+    ("COE", (2 / 6, 1 / 6, 8 / 48, 0.0)),
+    ("CUE", (1 / 5, 1 / 5, 2 / 30, 0.0)),
+])
+def test_corner_draw_matches_full_draw_in_law(ensemble, exact):
+    observables = [
+        EntryMoment(factors=((0, 0, False), (0, 0, True))),
+        EntryMoment(factors=((0, 1, False), (0, 1, True))),
+        EntryMoment(factors=((0, 0, False),) * 2 + ((0, 0, True),) * 2),
+        EntryMoment(factors=((1, 0, False),)),
+    ]
+    runs = {}
+    for corner, seed in ((2, 61), (None, 62)):
+        cfg = SampleConfig(ensemble=ensemble, N=5, sample_count=60000,
+                           rng_seed=seed, batch_count=20, corner=corner)
+        runs[corner] = estimate_moment(cfg, observables)
+    for value, corner_est, full_est in zip(exact, runs[2], runs[None]):
+        assert compare(value, corner_est) == "pass"
+        assert compare(value, full_est) == "pass"
+        band = 4.0 * math.hypot(corner_est.std_error, full_est.std_error)
+        assert abs(corner_est.mean - full_est.mean) <= band
+
+
+def test_corner_bounds_are_checked():
+    for corner in (1, 3):
+        assert SampleConfig(ensemble="COE", N=3, sample_count=100,
+                            rng_seed=1, corner=corner).corner == corner
+    for corner in (0, 4, -1):
+        with pytest.raises(ValueError, match="corner"):
+            SampleConfig(ensemble="COE", N=3, sample_count=100, rng_seed=1,
+                         corner=corner)
+
+
+@pytest.mark.parametrize("outside", [
+    EntryMoment(factors=((0, 2, False), (0, 2, True))),
+    EntryMoment(factors=((2, 0, False),)),
+    BlockTraceMoment(lam=(1,), mu=(1,), M=3),
+])
+def test_observable_outside_corner_is_rejected_before_sampling(
+        outside, draw_counter):
+    for ensemble in ("CUE", "COE"):
+        cfg = SampleConfig(ensemble=ensemble, N=4, sample_count=100,
+                           rng_seed=1, batch_count=2, corner=2)
+        with pytest.raises(ValueError, match="corner"):
+            estimate_moment(cfg, _four_observables(2) + [outside])
+    assert draw_counter == {"CUE": 0, "COE": 0}
+
+
+def test_each_batch_draws_the_configured_corner(monkeypatch):
+    corners = []
+    real = montecarlo.sample_coe
+
+    def spy(N, rng, size=None, corner=None):
+        corners.append(corner)
+        return real(N, rng, size=size, corner=corner)
+
+    monkeypatch.setattr(montecarlo, "sample_coe", spy)
+    cfg = SampleConfig(ensemble="COE", N=6, sample_count=300, rng_seed=5,
+                       batch_count=3, corner=2)
+    estimate_moment(cfg, _four_observables(2))
+    assert corners == [2, 2, 2]
+
+
+@pytest.mark.parametrize("ensemble", ["CUE", "COE"])
+def test_joint_estimate_equals_single_estimates_in_corner(ensemble,
+                                                          fake_pool):
+    sizes = fake_pool
+    cfg = SampleConfig(ensemble=ensemble, N=5, sample_count=600,
+                       rng_seed=2025, batch_count=6, corner=2)
+    observables = _four_observables(2)
+    for workers in (1, 2):
+        joint = estimate_moment(cfg, observables, workers=workers)
+        singles = [estimate_moment(cfg, [obs], workers=workers)[0]
+                   for obs in observables]
+        assert joint == singles
+    assert sizes == [2] * 5
 
 
 def test_trace_truncation_allowance_value():
