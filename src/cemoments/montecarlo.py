@@ -71,9 +71,8 @@ def sample_cue(N, rng, size=None, corner=None):
 
     With corner=K, only the upper-left K x K block of each.
     """
-    if corner is None:
-        return _haar_columns(N, N, rng, size)
-    return _haar_columns(N, corner, rng, size)[..., :corner, :]
+    k = N if corner is None else corner
+    return _haar_columns(N, k, rng, size)[..., :k, :]
 
 
 def sample_coe(N, rng, size=None, corner=None):
