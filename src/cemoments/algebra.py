@@ -23,8 +23,6 @@ def _strip_trailing_zeros(coeffs):
 
 def _format_poly(coeffs, var):
     """Render descending-power form like 2d^3+4d^2+10d+8 or 4M^2+4M."""
-    if not coeffs:
-        return "0"
     pieces = []
     for power in range(len(coeffs) - 1, -1, -1):
         c = coeffs[power]
@@ -219,14 +217,15 @@ class TruncatedSeries:
     def eval_at(self, u, m=None):
         """Exact value of the truncated sum at u (and M=m where needed)."""
         u = Fraction(u)
+        low = next((k for k, t in enumerate(self.terms) if t), self.cap + 1)
         acc = Fraction(0)
-        for t in reversed(self.terms):
+        for t in reversed(self.terms[low:]):
             if isinstance(t, MPolynomial):
                 if m is None:
                     raise ValueError("series has M-dependence; m is required")
                 t = t.eval_at(m)
             acc = acc * u + t
-        return acc
+        return acc * u ** low
 
     def to_json(self):
         encoded = []

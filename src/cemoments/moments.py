@@ -1,7 +1,8 @@
 """Assembly of circular-ensemble moment series from diagram sums.
 
 Each vertex partition lam lands at one series order, u^(n + rank(lam)) with
-u = 1/Omega. The per-stratum coefficient, per delta pattern, is
+u = 1/Omega. The stratum carries one weight, and each delta pattern adds
+that weight times its integer j(d):
 
     beta=1 (COE, u = 1/(N+1)):   (-1/2)^len(lam) / z_lam * j(-1)
     beta=2 (CUE, u = 1/N):       (-1)^len(lam)   / z_lam * j(0)
@@ -58,26 +59,23 @@ _ENSEMBLES = {
 }
 
 
-def stratum_coefficient(beta, lam, pattern_poly):
-    """Exact scalar multiplying u^(n+rank(lam)) for one pattern."""
-    params = _ENSEMBLES[beta]
-    value = pattern_poly.eval_at(params.d_value)
-    return params.vertex_weight ** len(lam) * value / z_weight(lam)
+def stratum_coefficient(beta, lam):
+    """Exact weight of every diagram in stratum lam, before its j(d)."""
+    return _ENSEMBLES[beta].vertex_weight ** len(lam) / z_weight(lam)
 
 
 def weighted_patterns(beta, n, max_rank, workers=1):
     """Walk every vertex stratum lam with rank(lam) <= max_rank.
 
-    Yields (rank(lam), pattern, stratum_coefficient) for each delta pattern
-    of the stratum's diagram sum. This is the one stratum loop: entry
-    moments (moment_series) and trace moments (traces.trace_moment) both
-    consume it.
+    Yields (rank(lam), stratum_coefficient(beta, lam), values) once per
+    stratum; values lazily pairs each delta pattern with its integer j(d).
+    This is the one stratum loop: moment_series and trace_moment use it.
     """
+    d = _ENSEMBLES[beta].d_value
     strata = partitions_no_ones_up_to_rank(max_rank)
     for lam, ds in zip(strata, get_diagram_sums(beta, n, strata, workers)):
-        r = rank(lam)
-        for pattern, poly in ds.pattern_map.items():
-            yield r, pattern, stratum_coefficient(beta, lam, poly)
+        values = ((p, poly.eval_at(d)) for p, poly in ds.pattern_map.items())
+        yield rank(lam), stratum_coefficient(beta, lam), values
 
 
 @dataclass(frozen=True)
@@ -114,10 +112,11 @@ def moment_series(spec, order_cap, workers=1):
             f"cap {order_cap} is below the leading order u^{n}"
         )
     per_pattern = {}
-    for r, pattern, coeff in weighted_patterns(spec.beta, n, order_cap - n,
+    for r, weight, values in weighted_patterns(spec.beta, n, order_cap - n,
                                                workers):
-        terms = per_pattern.setdefault(pattern, [0] * (order_cap + 1))
-        terms[n + r] += coeff
+        for pattern, j in values:
+            terms = per_pattern.setdefault(pattern, [0] * (order_cap + 1))
+            terms[n + r] += weight * j
     pattern_map = {
         p: TruncatedSeries(order_cap, terms)
         for p, terms in sorted(per_pattern.items())

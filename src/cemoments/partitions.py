@@ -8,6 +8,7 @@ Permutations are tuples of 0-based images.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import factorial
 
 
@@ -63,13 +64,9 @@ def partitions_no_ones_up_to_rank(max_rank):
 
 def z_weight(lam):
     """Product of the parts times the factorials of the multiplicities."""
-    mult = {}
     prod = 1
-    for p in lam:
-        prod *= p
-        mult[p] = mult.get(p, 0) + 1
-    for m in mult.values():
-        prod *= factorial(m)
+    for p, m in Counter(lam).items():
+        prod *= p ** m * factorial(m)
     return prod
 
 

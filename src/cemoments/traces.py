@@ -17,8 +17,10 @@ so the canonical consecutive-block permutation is used.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .algebra import (
@@ -143,13 +145,16 @@ def trace_moment(lam, mu, cap, workers=1):
         )
     varz = _variable_ties(permutation_of_type(lam, n))
     varbar = _variable_ties(permutation_of_type(mu, n))
-    coeffs = [dict() for _ in range(cap + 1)]
-    for r, pattern, coeff in weighted_patterns(1, n, cap - n, workers):
-        if coeff == 0:
-            continue
-        k = index_cycle_count(pattern, varz, varbar)
-        bucket = coeffs[n + r]
-        bucket[k] = bucket.get(k, 0) + coeff
+    coeffs = [defaultdict(int) for _ in range(cap + 1)]
+    # one count per pattern: the strata share most of their patterns
+    cycles = cache(lambda pattern: index_cycle_count(pattern, varz, varbar))
+    for r, weight, values in weighted_patterns(1, n, cap - n, workers):
+        totals = defaultdict(int)  # index cycles -> sum of integer j(-1)
+        for pattern, j in values:
+            if j:
+                totals[cycles(pattern)] += j
+        for k, total in totals.items():
+            coeffs[n + r][k] += weight * total
     terms = []
     for power, bucket in enumerate(coeffs):
         top = max(bucket) if bucket else 0

@@ -283,8 +283,8 @@ def test_criterion_10_unitary_cycle_suppression():
     pm3 = get_diagram_sum(2, 1, (3,)).pattern_map[(0, 1)]
     pm22 = get_diagram_sum(2, 1, (2, 2)).pattern_map[(0, 1)]
     ok = ok and pm3.coefficient(0) == 3 and pm22.coefficient(0) == 8
-    c3 = stratum_coefficient(2, (3,), pm3)
-    c22 = stratum_coefficient(2, (2, 2), pm22)
+    c3 = stratum_coefficient(2, (3,)) * pm3.eval_at(0)
+    c22 = stratum_coefficient(2, (2, 2)) * pm22.eval_at(0)
     ok = ok and c3 == -1 and c22 == 1 and c3 + c22 == 0
     ms = moment_series(ExternalSpec(beta=2, n=1), 3)
     want = TruncatedSeries.single_term(3, 1, Fraction(1))

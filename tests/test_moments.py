@@ -38,10 +38,10 @@ def test_omega_and_u():
 
 
 def test_stratum_coefficients_twisted():
-    # weight (-1/2)^len * j(-1) / z, per pattern
+    # weight (-1/2)^len / z per stratum, times the pattern's j(-1)
     def coeff(lam):
         poly = get_diagram_sum(1, 1, lam).pattern_map[(0, 1)]
-        return stratum_coefficient(1, lam, poly)
+        return stratum_coefficient(1, lam) * poly.eval_at(-1)
 
     assert coeff((2,)) == 0
     assert coeff((3,)) == -2
@@ -55,7 +55,7 @@ def test_stratum_coefficient_untwisted_uses_constant_term():
     # d=0 removes every diagram that closes a cycle
     for lam in [(2,), (3,), (2, 2)]:
         poly = get_diagram_sum(2, 1, lam).pattern_map[(0, 1)]
-        got = stratum_coefficient(2, lam, poly)
+        got = stratum_coefficient(2, lam) * poly.eval_at(0)
         want = Fraction((-1) ** len(lam) * poly.coefficient(0), z_weight(lam))
         assert got == want
 
@@ -75,7 +75,7 @@ def test_cancellation_breakdown_by_stratum():
         pieces = []
         for lam in lams:
             poly = get_diagram_sum(1, 1, lam).pattern_map[(0, 1)]
-            pieces.append(stratum_coefficient(1, lam, poly))
+            pieces.append(stratum_coefficient(1, lam) * poly.eval_at(-1))
         assert pieces == expected[r]
         assert sum(pieces) == 0
 
@@ -110,8 +110,8 @@ def test_series_orders_match_stratum_ranks():
     for pattern, series in ms.pattern_map.items():
         for r in (1, 2, 3):
             want = sum(
-                stratum_coefficient(
-                    1, lam, get_diagram_sum(1, 1, lam).pattern_map[pattern])
+                stratum_coefficient(1, lam)
+                * get_diagram_sum(1, 1, lam).pattern_map[pattern].eval_at(-1)
                 for lam in partitions_no_ones_up_to_rank(3) if rank(lam) == r
             )
             assert series.coefficient(1 + r) == want

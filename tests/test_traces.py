@@ -10,6 +10,7 @@ engine output over a differing reference tuple.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -342,19 +343,21 @@ def test_symmetry_in_the_two_cycle_types():
         assert a == b
 
 
+def _ties(perm):
+    """Variable ties of a permutation, built here independently."""
+    out = [0] * (2 * len(perm))
+    for f, g in enumerate(perm):
+        out[2 * f + 1] = 2 * g
+        out[2 * g] = 2 * f + 1
+    return out
+
+
 def test_any_representative_permutation_gives_same_series():
     # the assembly only sees cycle types through the variable ties, so a
     # conjugated permutation must reproduce the series exactly
-    def ties(perm):
-        out = [0] * (2 * len(perm))
-        for f, g in enumerate(perm):
-            out[2 * f + 1] = 2 * g
-            out[2 * g] = 2 * f + 1
-        return out
-
     def series_from_perms(perm_l, perm_r, cap):
         n = len(perm_l)
-        varz, varbar = ties(perm_l), ties(perm_r)
+        varz, varbar = _ties(perm_l), _ties(perm_r)
         buckets = [dict() for _ in range(cap + 1)]
         for vertex in partitions_no_ones_up_to_rank(cap - n):
             power = n + rank(vertex)
@@ -410,11 +413,43 @@ def test_m_degree_above_factor_count_is_rejected(monkeypatch):
     n = sum(lam)
     monkeypatch.setattr(
         traces, "weighted_patterns",
-        lambda *args: iter([(1, tuple(range(2 * n)), 1)]),
+        lambda *args: iter([(1, Fraction(1), [(tuple(range(2 * n)), 1)])]),
     )
     monkeypatch.setattr(traces, "index_cycle_count", lambda *args: n + 1)
     with pytest.raises(AssertionError):
         trace_moment(lam, lam, n + 1)
+
+
+def test_trace_series_contracts_entry_series_with_index_cycles():
+    # the two consumers of the stratum loop agree: the trace moment is the
+    # sum over patterns p of the entry series of p times M^(index cycles)
+    for n in (1, 2, 3):
+        cap = n + 2
+        entry = moment_series(ExternalSpec(1, n), cap).pattern_map
+        for lam, mu in itertools.product(partitions_of(n), repeat=2):
+            varz = _ties(permutation_of_type(lam, n))
+            varbar = _ties(permutation_of_type(mu, n))
+            want = [[Fraction(0)] * (n + 1) for _ in range(cap + 1)]
+            for pattern, series in entry.items():
+                k = index_cycle_count(pattern, varz, varbar)
+                for power in range(cap + 1):
+                    want[power][k] += series.coefficient(power)
+            got = trace_moment(lam, mu, cap).series
+            assert [got.coefficient(power) for power in range(cap + 1)] == [
+                MPolynomial(coeffs) for coeffs in want]
+
+
+def test_trace_moment_counts_index_cycles_once_per_pattern(monkeypatch):
+    # the strata share their delta patterns; one call counts each once
+    calls = Counter()
+
+    def counting(pattern, varz, varbar):
+        calls[pattern] += 1
+        return index_cycle_count(pattern, varz, varbar)
+
+    monkeypatch.setattr(traces, "index_cycle_count", counting)
+    trace_moment((2, 1), (2, 1), 5)
+    assert calls and max(calls.values()) == 1
 
 
 def test_block_sum_assembly_matches_entry_series():
