@@ -25,24 +25,11 @@ def _format_poly(coeffs, var):
     """Render descending-power form like 2d^3+4d^2+10d+8 or 4M^2+4M."""
     pieces = []
     for power in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[power]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        if power == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else str(mag)
-            body = f"{head}{var}" if power == 1 else f"{head}{var}^{power}"
-        pieces.append((sign, body))
-    if not pieces:
-        return "0"
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += sign + body
-    return out
+        mag = abs(coeffs[power])
+        if mag:
+            body = "" if mag == 1 and power else str(mag)
+            pieces.append((coeffs[power] < 0, body, power_of(var, power)))
+    return format_terms(pieces).replace(" ", "")
 
 
 def power_of(var, power):
@@ -183,7 +170,7 @@ class TruncatedSeries:
     terms: tuple
 
     def __init__(self, cap, terms=()):
-        cap = int(cap)
+        cap = operator.index(cap)
         if cap < 0:
             raise ValueError("truncation cap must be >= 0")
         terms = [t if isinstance(t, MPolynomial) else Fraction(t)

@@ -11,7 +11,6 @@ the engine rejects with a ValueError prints "error: ..." and exits 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -177,10 +176,6 @@ def _mc_coe_inputs(args):
     from . import montecarlo  # the only module that needs numpy
 
     N, M = args.N, args.M
-    cfg = montecarlo.SampleConfig(
-        ensemble="COE", N=N, sample_count=args.samples,
-        rng_seed=args.seed,
-    )
     entry = montecarlo.EntryMoment
     observables = {"|W[0,0]|^2": entry(((0, 0, False), (0, 0, True)))}
     if N >= 2:
@@ -188,10 +183,15 @@ def _mc_coe_inputs(args):
     for part in (1, 2):
         observables[f"|p_({part})(B)|^2"] = montecarlo.BlockTraceMoment(
             (part,), (part,), M)
+    # the config reports a bad N first, the block check a bad M
+    cfg = montecarlo.SampleConfig(
+        ensemble="COE", N=N, sample_count=args.samples,
+        rng_seed=args.seed,
+        corner=min(N, max(obs.extent for obs in observables.values())),
+    )
     for obs in observables.values():
         obs.check(N)
-    corner = max(obs.extent for obs in observables.values())
-    return dataclasses.replace(cfg, corner=corner), observables
+    return cfg, observables
 
 
 def _verify_mc_coe(args, emit, inputs, ms):

@@ -3,15 +3,16 @@
 Floats live here and only here. Haar unitaries come from QR of a complex
 Ginibre matrix with the diagonal phase correction (plain QR is biased
 toward the sign conventions of the factorization; multiplying each column
-by r_jj/|r_jj| removes that). COE samples are S S^T.
+by r_jj/|r_jj| removes that).
 
-A config may ask for only the upper-left K x K corner of W. The QR of an
-N x K Ginibre matrix, with the same phase fix, gives the first K columns q
-of a Haar unitary (Mezzadri 2007, "How to generate random matrices from
-the classical compact groups"), so a corner costs O(N K^2), not O(N^3).
-The CUE corner is the top K rows of q. The COE corner is q^T q: the corner
-of S S^T is S_K S_K^T for the top K rows S_K of S, and these are the first
-K columns of S^T, which is Haar whenever S is.
+Every draw is the upper-left K x K corner of W, and the whole matrix is
+the corner K = N. The QR of an N x K Ginibre matrix, with the same phase
+fix, gives the first K columns q of a Haar unitary (Mezzadri 2007, "How to
+generate random matrices from the classical compact groups"), so a corner
+costs O(N K^2), not O(N^3). The CUE corner is the top K rows of q. The COE
+corner is q^T q: COE is S^T S with S Haar, its corner is S_K^T S_K for the
+first K columns S_K of S, and those are q in law. At K = N this is the
+whole S^T S, which has the law of S S^T since S^T is Haar whenever S is.
 
 Reproducibility: the seed feeds a SeedSequence whose spawned children give
 one PCG64 stream per batch. Each batch is drawn once and every observable
@@ -24,12 +25,14 @@ whichever observables share the run.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .moments import EnsembleParams
+from .partitions import normalize_partition
 
 GENERATOR_NAME = "PCG64"
 
@@ -76,14 +79,11 @@ def sample_cue(N, rng, size=None, corner=None):
 
 
 def sample_coe(N, rng, size=None, corner=None):
-    """Symmetric unitaries S S^T with S Haar.
+    """Symmetric unitaries S^T S with S Haar.
 
     With corner=K, only the upper-left K x K block of each.
     """
-    if corner is None:
-        s = _haar_columns(N, N, rng, size)
-        return s @ np.swapaxes(s, -1, -2)
-    q = _haar_columns(N, corner, rng, size)
+    q = _haar_columns(N, N if corner is None else corner, rng, size)
     return np.swapaxes(q, -1, -2) @ q
 
 
@@ -100,7 +100,7 @@ class EntryMoment:
 
     def check(self, N):
         for i, j, _ in self.factors:
-            if not (0 <= i < N and 0 <= j < N):
+            if not all(0 <= operator.index(k) < N for k in (i, j)):
                 raise ValueError(
                     f"entry W[{i},{j}] lies outside the {N}x{N} matrix")
 
@@ -126,7 +126,8 @@ class BlockTraceMoment:
         return self.M
 
     def check(self, N):
-        if not 0 <= self.M <= N:
+        normalize_partition(self.lam + self.mu)  # a part -1 would invert B
+        if not 0 <= operator.index(self.M) <= N:
             raise ValueError(
                 f"block size M={self.M} must satisfy 0 <= M <= N={N}")
 

@@ -8,13 +8,15 @@ Permutations are tuples of 0-based images.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from math import factorial
 
 
 def normalize_partition(parts, allow_ones=True):
     """Sort descending and validate. Returns a tuple."""
-    out = tuple(sorted((int(p) for p in parts), reverse=True))
+    # index(), not int(): a part 2.9 is an error, not a silent 2
+    out = tuple(sorted((operator.index(p) for p in parts), reverse=True))
     for p in out:
         if p < 1:
             raise ValueError(f"partition parts must be >= 1, got {p}")

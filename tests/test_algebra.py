@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cemoments.algebra import DimPolynomial, MPolynomial, TruncatedSeries
+from cemoments.algebra import (
+    DimPolynomial,
+    MPolynomial,
+    TruncatedSeries,
+    _format_poly,
+)
 
 # cycle-count polynomials for the first few vertex types, coefficients
 # ascending; frozen engine outputs that double as fixtures
@@ -79,6 +84,17 @@ def test_m_poly_str():
     assert str(MPolynomial((0, 4, 4))) == "4M^2+4M"
     assert str(MPolynomial((0, 2))) == "2M"
     assert str(MPolynomial()) == "0"
+    assert str(MPolynomial((0, 1, Fraction(-3, 2)))) == "-3/2M^2+M"
+    assert str(MPolynomial((Fraction(-1, 3), 0, Fraction(-1, 2)))) == (
+        "-1/2M^2-1/3")
+    assert str(MPolynomial((1, -1, 1))) == "M^2-M+1"
+    assert str(MPolynomial((0, -1))) == "-M"
+    assert str(MPolynomial((-1,))) == "-1"
+    assert str(MPolynomial((Fraction(5, 7),))) == "5/7"
+    # the large-N regimes render xi-polynomials from plain coefficient lists
+    assert _format_poly([0, Fraction(1, 2), -1], "xi") == "-xi^2+1/2xi"
+    assert _format_poly([Fraction(-4, 3), 1], "xi") == "xi-4/3"
+    assert _format_poly([0, 0], "xi") == "0"
 
 
 def test_m_poly_scalar_interop():
@@ -110,6 +126,10 @@ def test_series_construction_pads_and_validates():
         TruncatedSeries(1, [1, 2, 3])
     with pytest.raises(ValueError):
         TruncatedSeries.single_term(2, 3, 1)
+    # int() would truncate 2.7 to the cap 2
+    for cap in (2.7, "3"):
+        with pytest.raises(TypeError):
+            TruncatedSeries(cap, [0, 1])
 
 
 def test_series_coefficient_beyond_cap_raises():

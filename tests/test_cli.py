@@ -318,10 +318,16 @@ def test_verify_mc_coe_json_row_keys(capsys):
     assert all(row["verdict"] in ("pass", "fail") for row in rows)
 
 
+BAD_SAMPLER_INPUT = {
+    ("--N", "8", "--M", "9"): "block size M=9",
+    ("--samples", "1"): "need sample_count",
+    ("--N", "0"): "N must be >= 1",
+    ("--seed", "-1"): "seed must be >= 0",
+}
+
+
 @pytest.mark.parametrize("suite", ["mc-coe", "all"])
-@pytest.mark.parametrize("bad", [("--N", "8", "--M", "9"),
-                                 ("--samples", "1"), ("--N", "0"),
-                                 ("--seed", "-1")])
+@pytest.mark.parametrize("bad", list(BAD_SAMPLER_INPUT))
 def test_verify_mc_coe_rejects_bad_input_before_any_work(capsys, monkeypatch,
                                                          suite, bad):
     def no_work(*args, **kwargs):
@@ -332,7 +338,7 @@ def test_verify_mc_coe_rejects_bad_input_before_any_work(capsys, monkeypatch,
     code, out, err = run_cli(capsys, "verify", suite, *bad)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: " + BAD_SAMPLER_INPUT[bad])
 
 
 @pytest.mark.parametrize("N, M, corner", [

@@ -208,6 +208,9 @@ def test_each_batch_is_drawn_once_for_all_observables(draw_counter):
     [BlockTraceMoment(lam=(1,), mu=(1,), M=4)],
     # one bad observable among good ones still stops the whole run
     _four_observables(3) + [BlockTraceMoment(lam=(1,), mu=(1,), M=-1)],
+    # a part -1 would estimate the trace of the inverse block
+    [BlockTraceMoment(lam=(-1,), mu=(), M=2)],
+    [BlockTraceMoment(lam=(1,), mu=(0,), M=2)],
 ])
 def test_bad_observables_are_rejected_before_sampling(observables,
                                                       draw_counter):
@@ -216,6 +219,24 @@ def test_bad_observables_are_rejected_before_sampling(observables,
                            rng_seed=1, batch_count=2)
         with pytest.raises(ValueError):
             estimate_moment(cfg, observables)
+    assert draw_counter == {"CUE": 0, "COE": 0}
+
+
+@pytest.mark.parametrize("bad", [
+    EntryMoment(factors=((0.5, 0, False), (0, 0, True))),
+    EntryMoment(factors=((0, 1.0, False),)),
+    BlockTraceMoment(lam=(1,), mu=(1,), M=2.5),
+    BlockTraceMoment(lam=(1.5,), mu=(1,), M=2),
+])
+def test_non_integer_indices_are_rejected_before_sampling(bad,
+                                                          draw_counter):
+    # a float index passes the range check; numpy would fail only after
+    # the first batch had been drawn
+    for ensemble in ("CUE", "COE"):
+        cfg = SampleConfig(ensemble=ensemble, N=3, sample_count=100,
+                           rng_seed=1, batch_count=2)
+        with pytest.raises(TypeError):
+            estimate_moment(cfg, _four_observables(3) + [bad])
     assert draw_counter == {"CUE": 0, "COE": 0}
 
 
@@ -255,21 +276,24 @@ def _parent_cue(N, rng, size=None):
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _parent_coe(N, rng, size=None):
-    s = _parent_cue(N, rng, size=size)
-    return s @ np.swapaxes(s, -1, -2)
+@pytest.mark.parametrize("N", [1, 4, 7])
+@pytest.mark.parametrize("size", [None, 9])
+def test_full_draw_keeps_its_bits(N, size):
+    got = sample_cue(N, np.random.Generator(np.random.PCG64(808)),
+                     size=size)
+    want = _parent_cue(N, np.random.Generator(np.random.PCG64(808)),
+                       size=size)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("N", [1, 4, 7])
 @pytest.mark.parametrize("size", [None, 9])
-def test_full_draw_keeps_its_bits(N, size):
-    for sampler, reference in ((sample_cue, _parent_cue),
-                               (sample_coe, _parent_coe)):
-        got = sampler(N, np.random.Generator(np.random.PCG64(808)),
-                      size=size)
-        want = reference(N, np.random.Generator(np.random.PCG64(808)),
-                         size=size)
-        assert got.tobytes() == want.tobytes()
+def test_whole_coe_draw_is_the_full_corner(N, size):
+    whole = sample_coe(N, np.random.Generator(np.random.PCG64(808)),
+                       size=size)
+    corner = sample_coe(N, np.random.Generator(np.random.PCG64(808)),
+                        size=size, corner=N)
+    assert whole.tobytes() == corner.tobytes()
 
 
 def test_corner_draws_have_the_corner_structure():

@@ -29,6 +29,10 @@ def test_normalize_sorts_descending():
     with pytest.raises(ValueError):
         normalize_partition([2, 1], allow_ones=False)
     assert normalize_partition([1, 1]) == (1, 1)
+    # int() would read 2.9 as the part 2; only true integers are taken
+    for parts in ((2.9,), (3, 2.0), ("2",)):
+        with pytest.raises(TypeError):
+            normalize_partition(parts)
 
 
 def test_partitions_of_small_totals():

@@ -522,6 +522,9 @@ def test_query_validation():
         TraceMomentQuery(lam=(2, 2), mu=(2, 2), cap=3)
     q = TraceMomentQuery(lam=(1, 2), mu=(2, 1), cap=4)
     assert q.lam == (2, 1)
+    # a truncated (2.9,) would silently give the (2,) series
+    with pytest.raises(TypeError):
+        trace_moment((2.9,), (2.9,), 4)
 
 
 def test_large_n_limits():
