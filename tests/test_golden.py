@@ -36,6 +36,12 @@ def _commands():
         for lam in ("", "2", "2,2", "3"):
             for extra in ((), ("--json",)):
                 out.append(("jpoly", "--beta", beta, "--lambda", lam) + extra)
+        # several coset types, so several distinct cycle polynomials
+        for n in ("2", "3"):
+            for lam in ("", "2", "2,2"):
+                for extra in ((), ("--json",)):
+                    out.append(("jpoly", "--beta", beta, "--n", n,
+                                "--lambda", lam) + extra)
         for n in (1, 2, 3):
             base = ("moment", "--beta", beta, "--n", str(n),
                     "--cap", str(n + 1))
