@@ -20,7 +20,12 @@ from .algebra import format_terms, power_of
 from .moments import moment_series
 from .partitions import normalize_partition
 from .traces import trace_moment
-from .wick import ExternalSpec, get_diagram_sum, get_diagram_sums
+from .wick import (
+    ExternalSpec,
+    expand_classes,
+    get_diagram_sum,
+    get_diagram_sums,
+)
 
 
 def parse_partition(text, allow_ones=True):
@@ -75,8 +80,7 @@ def cmd_jpoly(args):
     if args.json:
         print(json.dumps(dsum.to_json()))
         return 0
-    lines = _grouped({p: str(poly) for p, poly in dsum.pattern_map.items()})
-    for line in lines:
+    for line in _grouped(expand_classes(dsum.classes, str)):
         print(line)
     return 0
 
@@ -95,10 +99,8 @@ def cmd_moment(args):
             print(line)
         return 0
     tail = f"; u=1/({ms.params.omega_text})"
-    rendered = {
-        p: format_pattern_series(s, args.n) + tail
-        for p, s in ms.pattern_map.items()
-    }
+    rendered = expand_classes(
+        ms.classes, lambda s: format_pattern_series(s, args.n) + tail)
     for line in _grouped(rendered):
         print(line)
     return 0

@@ -1,8 +1,8 @@
 """Assembly of circular-ensemble moment series from diagram sums.
 
 Each vertex partition lam lands at one series order, u^(n + rank(lam)) with
-u = 1/Omega. The stratum carries one weight, and each delta pattern adds
-that weight times its integer j(d):
+u = 1/Omega. The stratum carries one weight, and each coset type of delta
+patterns (see wick) adds that weight times its integer j(d):
 
     beta=1 (COE, u = 1/(N+1)):   (-1/2)^len(lam) / z_lam * j(-1)
     beta=2 (CUE, u = 1/N):       (-1)^len(lam)   / z_lam * j(0)
@@ -13,6 +13,9 @@ structure lam and c closed cycles carries (1/z)(-1/2)^len (-1)^c at order
 n + rank(lam), which is what evaluating j at d = -1 sums up. d is always
 substituted after the whole polynomial is assembled; substituting earlier
 would silently break the cancellations between strata of equal rank.
+
+Since j(d) is one polynomial per coset type, the stratum loop evaluates it
+once per (stratum, type), and every pattern of a type shares one series.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 from .algebra import TruncatedSeries
 from .partitions import partitions_no_ones_up_to_rank, rank, z_weight
-from .wick import get_diagram_sums
+from .wick import expand_classes, get_diagram_sums
 
 
 @dataclass(frozen=True)
@@ -68,38 +71,48 @@ def weighted_patterns(beta, n, max_rank, workers=1):
     """Walk every vertex stratum lam with rank(lam) <= max_rank.
 
     Yields (rank(lam), stratum_coefficient(beta, lam), values) once per
-    stratum; values lazily pairs each delta pattern with its integer j(d).
-    This is the one stratum loop: moment_series and trace_moment use it.
+    stratum; values lazily gives (type, j, patterns) per coset type, with
+    the integer j(d) shared by all the type's delta patterns. This is the
+    one stratum loop: moment_series and trace_moment use it.
     """
     d = _ENSEMBLES[beta].d_value
     strata = partitions_no_ones_up_to_rank(max_rank)
     for lam, ds in zip(strata, get_diagram_sums(beta, n, strata, workers)):
-        values = ((p, poly.eval_at(d)) for p, poly in ds.pattern_map.items())
+        values = ((rho, poly.eval_at(d), ps) for rho, poly, ps in ds.classes)
         yield rank(lam), stratum_coefficient(beta, lam), values
 
 
 @dataclass(frozen=True)
 class MomentSeries:
+    """Entry-moment series; classes holds (type, series, patterns) triples."""
+
     params: EnsembleParams
     n: int
     cap: int
-    pattern_map: dict
+    classes: tuple
+
+    @property
+    def pattern_map(self):
+        """Every delta pattern with its series, in sorted pattern order."""
+        return expand_classes(self.classes)
 
     def evaluate_at(self, N):
         u = self.params.u_of_N(N)
-        return {p: s.eval_at(u) for p, s in self.pattern_map.items()}
+        return expand_classes(self.classes, lambda s: s.eval_at(u))
 
     def to_json(self, N=None):
+        encoded = expand_classes(self.classes, TruncatedSeries.to_json)
+        values = {} if N is None else self.evaluate_at(N)
         out = []
-        for p, series in self.pattern_map.items():
+        for p, series in encoded.items():
             entry = {
                 "ensemble": self.params.name,
                 "N": "symbolic" if N is None else N,
                 "pattern": [[s, int(p[s])] for s in range(len(p))],
-                "series": series.to_json(),
+                "series": series,
             }
             if N is not None:
-                entry["value"] = str(series.eval_at(self.params.u_of_N(N)))
+                entry["value"] = str(values[p])
             out.append(entry)
         return out
 
@@ -111,16 +124,17 @@ def moment_series(spec, order_cap, workers=1):
         raise ValueError(
             f"cap {order_cap} is below the leading order u^{n}"
         )
-    per_pattern = {}
+    per_type = {}  # coset type -> (series terms, patterns)
     for r, weight, values in weighted_patterns(spec.beta, n, order_cap - n,
                                                workers):
-        for pattern, j in values:
-            terms = per_pattern.setdefault(pattern, [0] * (order_cap + 1))
+        for rho, j, patterns in values:
+            terms, _ = per_type.setdefault(
+                rho, ([0] * (order_cap + 1), patterns))
             terms[n + r] += weight * j
-    pattern_map = {
-        p: TruncatedSeries(order_cap, terms)
-        for p, terms in sorted(per_pattern.items())
-    }
+    classes = tuple(
+        (rho, TruncatedSeries(order_cap, terms), patterns)
+        for rho, (terms, patterns) in sorted(per_type.items())
+    )
     return MomentSeries(params=EnsembleParams.for_beta(spec.beta), n=n,
-                        cap=order_cap, pattern_map=pattern_map)
+                        cap=order_cap, classes=classes)
 

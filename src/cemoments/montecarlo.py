@@ -49,6 +49,11 @@ class SampleConfig:
     def __post_init__(self):
         if self.ensemble not in ("CUE", "COE"):
             raise ValueError("ensemble must be CUE or COE")
+        # index(): N=3.5 is a TypeError here, not deep inside numpy
+        for value in (self.N, self.sample_count, self.rng_seed,
+                      self.batch_count,
+                      1 if self.corner is None else self.corner):
+            operator.index(value)
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if not (self.sample_count >= self.batch_count >= 2):

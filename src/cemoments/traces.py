@@ -17,10 +17,9 @@ so the canonical consecutive-block permutation is used.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb
 
 from .algebra import (
@@ -146,13 +145,19 @@ def trace_moment(lam, mu, cap, workers=1):
     varz = _variable_ties(permutation_of_type(lam, n))
     varbar = _variable_ties(permutation_of_type(mu, n))
     coeffs = [defaultdict(int) for _ in range(cap + 1)]
-    # one count per pattern: the strata share most of their patterns
-    cycles = cache(lambda pattern: index_cycle_count(pattern, varz, varbar))
+    # coset type -> {index cycles: patterns}; a type holds the same patterns
+    # in every stratum, so each is counted once, and only where j != 0
+    histograms = {}
     for r, weight, values in weighted_patterns(1, n, cap - n, workers):
         totals = defaultdict(int)  # index cycles -> sum of integer j(-1)
-        for pattern, j in values:
-            if j:
-                totals[cycles(pattern)] += j
+        for rho, j, patterns in values:
+            if not j:
+                continue
+            if rho not in histograms:
+                histograms[rho] = Counter(
+                    index_cycle_count(p, varz, varbar) for p in patterns)
+            for k, count in histograms[rho].items():
+                totals[k] += j * count
         for k, total in totals.items():
             coeffs[n + r][k] += weight * total
     terms = []

@@ -26,8 +26,17 @@ the formal dimension d) and open chains whose two endpoints are external
 slots. Since every identification joins a z-slot to a zbar-slot, the graph
 is bipartite and each chain ends on opposite sides: the chain endpoints
 define a perfect matching from external z-slots to external zbar-slots,
-the term's delta pattern. The enumeration accumulates, per pattern, the
-count of terms with c closed cycles, i.e. an integer polynomial in d.
+the term's delta pattern. The enumeration counts, per pattern, the terms
+with c closed cycles: an integer polynomial j(d) in d.
+
+Relabelling the external factors (and, for beta=1, swapping the two slots
+of one) permutes the terms and the patterns alike, so j(d) depends on a
+pattern only through its coset type: the partition of n read off the
+cycles that the pattern edges form with each external factor's slot pair
+(a double coset H_n\\S_2n/H_n for beta=1, the class of
+sigma_row^-1 sigma_col for beta=2; Macdonald VII.2). A diagram sum is
+stored as one polynomial per coset type plus that type's patterns, and
+enumerate_wick checks that every type present is complete and uniform.
 
 The terms are never visited one by one. z-factors are paired one per level,
 internal factors first in ring order n..F-1, then the externals 0..n-1. An
@@ -54,11 +63,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
 from .algebra import DimPolynomial
-from .partitions import normalize_partition
+from .partitions import normalize_partition, z_weight
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,9 @@ class ExternalSpec:
     n: int
 
     def __post_init__(self):
+        # index(), not a value compare: beta=1.0 or n=2.0 is a TypeError
+        for value in (self.beta, self.n):
+            operator.index(value)
         if self.beta not in (1, 2):
             raise ValueError("beta must be 1 or 2 for enumeration")
         if self.n < 1:
@@ -134,18 +147,24 @@ def _check_graph(graph):
 
 @dataclass(frozen=True)
 class DiagramSum:
-    """Accumulated enumeration result.
+    """Accumulated enumeration result, one entry per coset type.
 
-    pattern_map maps each delta pattern to the integer polynomial in d
-    counting terms by closed-cycle number. A pattern is a tuple p of length
-    2n with p[s] = the external zbar-slot matched to external z-slot s.
+    classes holds (type, poly, patterns) triples in type order: poly is the
+    integer polynomial in d counting terms by closed-cycle number, shared by
+    every pattern of that type. A pattern is a tuple p of length 2n with
+    p[s] = the external zbar-slot matched to external z-slot s.
     """
 
     beta: int
     n: int
     vertex_type: tuple
     edge_count: int
-    pattern_map: dict = field(compare=False)
+    classes: tuple = field(compare=False)
+
+    @property
+    def pattern_map(self):
+        """Every pattern with its polynomial, in sorted pattern order."""
+        return expand_classes(self.classes)
 
     def to_json(self):
         return {
@@ -153,14 +172,59 @@ class DiagramSum:
             "patterns": [
                 {
                     "match": [[s, int(p[s])] for s in range(len(p))],
-                    "poly": poly.to_json(),
+                    "poly": poly,
                 }
-                for p, poly in self.pattern_map.items()
+                for p, poly in expand_classes(
+                    self.classes, DimPolynomial.to_json).items()
             ],
         }
 
 
+def expand_classes(classes, convert=None):
+    """Every pattern with its class's value, in sorted pattern order.
+
+    classes holds (type, value, patterns) triples; convert, when given,
+    maps each value once per class.
+    """
+    values = {}
+    for _, value, patterns in classes:
+        if convert:
+            value = convert(value)
+        values.update(dict.fromkeys(patterns, value))
+    return {p: values[p] for p in sorted(values)}
+
+
+def coset_type(pattern):
+    """Partition of n that fixes j(d) for a delta pattern, for either beta.
+
+    Joins each external factor's two slots (2f, 2f+1) on the z side and on
+    the zbar side, overlays the pattern edges and reads each cycle's
+    half-length: the number of z-side factors it passes through.
+    """
+    inv = [0] * len(pattern)
+    for s, w in enumerate(pattern):
+        inv[w] = s
+    seen = [False] * len(pattern)
+    parts = []
+    for start in range(0, len(pattern), 2):
+        length, s = 0, start
+        while not seen[s]:
+            seen[s] = seen[s ^ 1] = True
+            length += 1
+            s = inv[pattern[s ^ 1] ^ 1]
+        if length:
+            parts.append(length)
+    return tuple(sorted(parts, reverse=True))
+
+
+def coset_class_size(beta, n, rho):
+    """Patterns of coset type rho: 4^n n!^2/(z 2^len) or n!^2/z."""
+    size = math.factorial(n) ** 2 // z_weight(rho)
+    return size << (2 * n - len(rho)) if beta == 1 else size
+
+
 _DEAD = 255  # marks a zbar slot that is already paired
+_FACTOR_OF_SLOT = bytes(s >> 1 for s in range(256))
 
 
 def _join(state, x, p, two_n):
@@ -234,18 +298,34 @@ def _enumerate(beta, n, trace_from_zbar, factor_count):
 
 
 def enumerate_wick(graph):
-    """Enumerate every pairing (and twist, for beta=1) of the slot graph."""
-    F = graph.factor_count
-    counts = _enumerate(graph.beta, graph.n, graph.trace_from_zbar, F)
-    pattern_map = {
-        key: DimPolynomial(counts[key]) for key in sorted(counts)
-    }
+    """Enumerate every pairing (and twist, for beta=1) of the slot graph.
+
+    Raises AssertionError unless the kernel's counts are equal across each
+    coset type and every type that occurs has all its patterns.
+    """
+    beta, n, F = graph.beta, graph.n, graph.factor_count
+    counts = _enumerate(beta, n, graph.trace_from_zbar, F)
+    by_type, types = {}, {}
+    for pattern in sorted(counts):
+        # the type only sees the zbar factor that each z-slot reaches
+        ends = bytes(pattern).translate(_FACTOR_OF_SLOT)
+        if ends not in types:
+            types[ends] = coset_type(pattern)
+        by_type.setdefault(types[ends], []).append(pattern)
+    classes = []
+    for rho, patterns in sorted(by_type.items()):
+        first = counts[patterns[0]]
+        if any(counts[p] != first for p in patterns):
+            raise AssertionError(f"j(d) differs within coset type {rho}")
+        if len(patterns) != coset_class_size(beta, n, rho):
+            raise AssertionError(f"coset type {rho} is missing patterns")
+        classes.append((rho, DimPolynomial(first), tuple(patterns)))
     return DiagramSum(
-        beta=graph.beta,
-        n=graph.n,
+        beta=beta,
+        n=n,
         vertex_type=graph.vertex_type,
         edge_count=F,
-        pattern_map=pattern_map,
+        classes=tuple(classes),
     )
 
 

@@ -267,6 +267,27 @@ def test_config_validation():
         SampleConfig(ensemble="CUE", N=3, sample_count=100, rng_seed=-1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("N", 3.5),
+    ("sample_count", 100.5),
+    ("batch_count", 2.5),
+    ("corner", 2.5),
+    ("rng_seed", 1.5),
+])
+def test_non_integer_config_fields_are_rejected_before_sampling(
+        field, value, draw_counter):
+    # each value passes the range checks; numpy would fail only inside
+    # the batch split, the seed spawn or the first draw
+    good = dict(N=3, sample_count=100, batch_count=2, corner=None,
+                rng_seed=1)
+    for ensemble in ("CUE", "COE"):
+        with pytest.raises(TypeError):
+            cfg = SampleConfig(ensemble=ensemble,
+                               **{**good, field: value})
+            estimate_moment(cfg, [EntryMoment(((0, 0, False),))])
+    assert draw_counter == {"CUE": 0, "COE": 0}
+
+
 def _parent_cue(N, rng, size=None):
     """The full Haar draw as written before corners existed."""
     shape = (N, N) if size is None else (size, N, N)

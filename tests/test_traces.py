@@ -408,13 +408,13 @@ def test_m_degree_never_exceeds_u_power():
 
 
 def test_m_degree_above_factor_count_is_rejected(monkeypatch):
-    # one rank-1 pattern with n+1 index cycles: M^(n+1) at u^(n+1)
+    # one rank-1 class of one pattern with n+1 index cycles: M^(n+1) at
+    # u^(n+1)
     lam = (2,)
     n = sum(lam)
-    monkeypatch.setattr(
-        traces, "weighted_patterns",
-        lambda *args: iter([(1, Fraction(1), [(tuple(range(2 * n)), 1)])]),
-    )
+    values = [((1,) * n, 1, (tuple(range(2 * n)),))]
+    monkeypatch.setattr(traces, "weighted_patterns",
+                        lambda *args: iter([(1, Fraction(1), values)]))
     monkeypatch.setattr(traces, "index_cycle_count", lambda *args: n + 1)
     with pytest.raises(AssertionError):
         trace_moment(lam, lam, n + 1)

@@ -6,6 +6,7 @@ coefficients) rather than trusted blindly, and the enumeration kernel is
 checked term by term against a brute-force walk over every pairing.
 """
 
+import collections
 import itertools
 import math
 import os
@@ -15,13 +16,21 @@ import pytest
 from cemoments import wick
 from cemoments.algebra import DimPolynomial
 from cemoments.moments import moment_series
-from cemoments.partitions import partitions_of
+from cemoments.partitions import (
+    compose,
+    cycle_type,
+    inverse,
+    partitions_of,
+    z_weight,
+)
 from cemoments.traces import trace_moment
 from cemoments.wick import (
     DiagramSum,
     ExternalSpec,
     build_slot_graph,
     clear_diagram_cache,
+    coset_class_size,
+    coset_type,
     enumerate_wick,
     get_diagram_sum,
     get_diagram_sums,
@@ -46,6 +55,12 @@ def test_external_spec_validation():
         ExternalSpec(beta=3, n=1)
     with pytest.raises(ValueError):
         ExternalSpec(beta=1, n=0)
+
+
+@pytest.mark.parametrize("beta,n", [(1, 2.0), (1.0, 2)])
+def test_external_spec_rejects_non_integers(beta, n):
+    with pytest.raises(TypeError):
+        ExternalSpec(beta, n)
 
 
 def test_slot_graph_no_vertices():
@@ -224,6 +239,88 @@ def test_kernel_matches_brute_force_walk(fake_pool):
                             for key in sorted(brute[lam])}
                     assert ds.pattern_map == want, (beta, n, lam, workers)
                     assert list(ds.pattern_map) == list(want)
+
+
+def _all_patterns(beta, n):
+    """Every perfect matching of the 2n external slots the model allows."""
+    if beta == 1:
+        return list(itertools.permutations(range(2 * n)))
+    # untwisted: rows end on rows and columns on columns
+    return [
+        tuple(2 * (row, col)[s % 2][s // 2] + s % 2 for s in range(2 * n))
+        for row in itertools.permutations(range(n))
+        for col in itertools.permutations(range(n))
+    ]
+
+
+def _class_size(beta, n, rho):
+    """4^n n!^2 / (z_rho 2^len(rho)) for beta=1, n!^2 / z_rho for beta=2."""
+    if beta == 1:
+        return (4 ** n * math.factorial(n) ** 2
+                // (z_weight(rho) * 2 ** len(rho)))
+    return math.factorial(n) ** 2 // z_weight(rho)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coset_types_split_every_pattern_into_classes(beta, n):
+    patterns = _all_patterns(beta, n)
+    assert len(patterns) == (math.factorial(2 * n) if beta == 1
+                             else math.factorial(n) ** 2)
+    sizes = collections.Counter(map(coset_type, patterns))
+    want = {rho: _class_size(beta, n, rho) for rho in partitions_of(n)}
+    assert sizes == want
+    assert all(coset_class_size(beta, n, rho) == size
+               for rho, size in want.items())
+
+
+def test_unitary_coset_type_is_the_class_of_row_inverse_times_col():
+    n = 3
+    for row in itertools.permutations(range(n)):
+        for col in itertools.permutations(range(n)):
+            pattern = [0] * (2 * n)
+            for f in range(n):
+                pattern[2 * f] = 2 * row[f]
+                pattern[2 * f + 1] = 2 * col[f] + 1
+            want = cycle_type(compose(inverse(row), col))
+            assert coset_type(tuple(pattern)) == want
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_kernel_counts_are_constant_on_each_complete_coset_type(beta):
+    for n in (1, 2, 3):
+        for lam in [lam for size in range(8 - n + 1)
+                    for lam in partitions_of(size, min_part=2)]:
+            graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
+            counts = wick._enumerate(beta, n, graph.trace_from_zbar,
+                                     graph.factor_count)
+            by_type = collections.defaultdict(list)
+            for pattern, row in counts.items():
+                by_type[coset_type(pattern)].append(row)
+            for rho, rows in by_type.items():
+                assert len(rows) == _class_size(beta, n, rho), (n, lam, rho)
+                assert all(row == rows[0] for row in rows), (n, lam, rho)
+
+
+def test_enumeration_rejects_counts_that_break_a_coset_type(monkeypatch):
+    real = wick._enumerate
+    graph = build_slot_graph(ExternalSpec(beta=1, n=2), (2,))
+    assert len(enumerate_wick(graph).classes) > 1
+
+    def perturbed(*args):
+        counts = real(*args)
+        counts[max(counts)][0] += 1
+        return counts
+
+    def incomplete(*args):
+        counts = real(*args)
+        del counts[max(counts)]
+        return counts
+
+    for fake in (perturbed, incomplete):
+        monkeypatch.setattr(wick, "_enumerate", fake)
+        with pytest.raises(AssertionError):
+            enumerate_wick(graph)
 
 
 def test_worker_counts_are_bit_identical():
