@@ -58,6 +58,13 @@ def _commands():
     out.append(("trace", "--lambda", "2", "--M", "3", "--N", "8", "--json"))
     out.append(("trace", "--lambda", "2,1", "--mu", "3", "--M", "2",
                 "--N", "5"))
+    # n=4 and n=5 sums, where a type holds hundreds to tens of thousands
+    # of patterns
+    out.append(("trace", "--lambda", "4", "--cap", "6"))
+    out.append(("trace", "--lambda", "2,2", "--mu", "3,1", "--cap", "6",
+                "--json"))
+    out.append(("moment", "--beta", "2", "--n", "4", "--cap", "5"))
+    out.append(("trace", "--lambda", "5", "--cap", "7"))
     out.append(("verify", "cancellations"))
     out.append(("verify", "cancellations", "--json"))
     out.append(("verify", "catalan"))
