@@ -80,7 +80,8 @@ def cmd_jpoly(args):
     if args.json:
         print(json.dumps(dsum.to_json()))
         return 0
-    for line in _grouped(expand_classes(dsum.classes, str)):
+    for line in _grouped(expand_classes(args.beta, args.n, dsum.classes,
+                                        str)):
         print(line)
     return 0
 
@@ -100,7 +101,8 @@ def cmd_moment(args):
         return 0
     tail = f"; u=1/({ms.params.omega_text})"
     rendered = expand_classes(
-        ms.classes, lambda s: format_pattern_series(s, args.n) + tail)
+        args.beta, args.n, ms.classes,
+        lambda s: format_pattern_series(s, args.n) + tail)
     for line in _grouped(rendered):
         print(line)
     return 0
@@ -136,7 +138,7 @@ CATALAN = {1: 1, 2: 2, 3: 5, 4: 14}
 def _verify_cancellations(entry_series, emit):
     failures = 0
     # the u^(1+r) coefficient sums exactly the rank-r strata
-    series = entry_series.pattern_map.values()
+    series = [s for _, s in entry_series.classes]
     for r in (1, 2, 3):
         ok = series and all(s.coefficient(1 + r) == 0 for s in series)
         emit({"check": f"rank-{r} cancellation", "verdict":
@@ -159,7 +161,7 @@ def _verify_catalan(args, emit):
         ok = all(
             poly.degree == expected_deg
             and poly.leading_coefficient == want_lead
-            for poly in ds.pattern_map.values()
+            for _, poly in ds.classes
         )
         emit({"check": f"catalan leading coefficient {list(lam)}",
               "verdict": "pass" if ok else "fail"},

@@ -15,7 +15,8 @@ substituted after the whole polynomial is assembled; substituting earlier
 would silently break the cancellations between strata of equal rank.
 
 Since j(d) is one polynomial per coset type, the stratum loop evaluates it
-once per (stratum, type), and every pattern of a type shares one series.
+once per (stratum, type), and a moment series holds one series per type.
+Its patterns are listed only by the outputs that name them.
 """
 
 from __future__ import annotations
@@ -71,37 +72,40 @@ def weighted_patterns(beta, n, max_rank, workers=1):
     """Walk every vertex stratum lam with rank(lam) <= max_rank.
 
     Yields (rank(lam), stratum_coefficient(beta, lam), values) once per
-    stratum; values lazily gives (type, j, patterns) per coset type, with
-    the integer j(d) shared by all the type's delta patterns. This is the
-    one stratum loop: moment_series and trace_moment use it.
+    stratum; values lazily gives (type, j) per coset type, with the integer
+    j(d) shared by all the type's delta patterns. This is the one stratum
+    loop: moment_series and trace_moment use it.
     """
     d = _ENSEMBLES[beta].d_value
     strata = partitions_no_ones_up_to_rank(max_rank)
     for lam, ds in zip(strata, get_diagram_sums(beta, n, strata, workers)):
-        values = ((rho, poly.eval_at(d), ps) for rho, poly, ps in ds.classes)
+        values = ((rho, poly.eval_at(d)) for rho, poly in ds.classes)
         yield rank(lam), stratum_coefficient(beta, lam), values
 
 
 @dataclass(frozen=True)
 class MomentSeries:
-    """Entry-moment series; classes holds (type, series, patterns) triples."""
+    """Entry-moment series; classes holds (type, series) pairs."""
 
     params: EnsembleParams
     n: int
     cap: int
     classes: tuple
 
+    def _expand(self, convert=None):
+        return expand_classes(self.params.beta, self.n, self.classes, convert)
+
     @property
     def pattern_map(self):
         """Every delta pattern with its series, in sorted pattern order."""
-        return expand_classes(self.classes)
+        return self._expand()
 
     def evaluate_at(self, N):
         u = self.params.u_of_N(N)
-        return expand_classes(self.classes, lambda s: s.eval_at(u))
+        return self._expand(lambda s: s.eval_at(u))
 
     def to_json(self, N=None):
-        encoded = expand_classes(self.classes, TruncatedSeries.to_json)
+        encoded = self._expand(TruncatedSeries.to_json)
         values = {} if N is None else self.evaluate_at(N)
         out = []
         for p, series in encoded.items():
@@ -124,16 +128,15 @@ def moment_series(spec, order_cap, workers=1):
         raise ValueError(
             f"cap {order_cap} is below the leading order u^{n}"
         )
-    per_type = {}  # coset type -> (series terms, patterns)
+    per_type = {}  # coset type -> series terms
     for r, weight, values in weighted_patterns(spec.beta, n, order_cap - n,
                                                workers):
-        for rho, j, patterns in values:
-            terms, _ = per_type.setdefault(
-                rho, ([0] * (order_cap + 1), patterns))
+        for rho, j in values:
+            terms = per_type.setdefault(rho, [0] * (order_cap + 1))
             terms[n + r] += weight * j
     classes = tuple(
-        (rho, TruncatedSeries(order_cap, terms), patterns)
-        for rho, (terms, patterns) in sorted(per_type.items())
+        (rho, TruncatedSeries(order_cap, terms))
+        for rho, terms in sorted(per_type.items())
     )
     return MomentSeries(params=EnsembleParams.for_beta(spec.beta), n=n,
                         cap=order_cap, classes=classes)

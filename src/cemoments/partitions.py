@@ -1,9 +1,10 @@
-"""Integer partitions and cycle-type permutations.
+"""Integer partitions, cycle-type permutations and perfect matchings.
 
 Partitions are plain tuples of ints, weakly decreasing. Vertex-type
 partitions (the ones fed to the diagram engine) have no part equal to 1;
 external cycle types for trace observables allow parts of 1.
-Permutations are tuples of 0-based images.
+Permutations are tuples of 0-based images; a perfect matching is an
+involution without fixed points, in the same form.
 """
 
 from __future__ import annotations
@@ -107,6 +108,36 @@ def cycle_type(images):
             cur = images[cur]
             length += 1
         parts.append(length)
+    return tuple(sorted(parts, reverse=True))
+
+
+def perfect_matchings(size):
+    """Every perfect matching of range(size), as an involution tuple."""
+    def gen(free):
+        if not free:
+            yield {}
+        for b in free[1:]:
+            for rest in gen([x for x in free[1:] if x != b]):
+                yield {free[0]: b, b: free[0], **rest}
+
+    return [tuple(m[s] for s in range(size)) for m in gen(range(size))]
+
+
+def matching_type(p, q):
+    """Half-lengths of the cycles of the union of two perfect matchings.
+
+    A cycle through 2k points has half-length k (Macdonald VII.2).
+    """
+    seen = [False] * len(p)
+    parts = []
+    for start in range(len(p)):
+        length, s = 0, start
+        while not seen[s]:
+            seen[s] = seen[p[s]] = True
+            length += 1
+            s = q[p[s]]
+        if length:
+            parts.append(length)
     return tuple(sorted(parts, reverse=True))
 
 

@@ -7,8 +7,9 @@ factor t and the row slot of factor pi(t) carry the same summed index; mu
 plays the same role on the conjugate side. Overlaying those ties on a
 diagram's delta pattern closes the external slots into disjoint index
 cycles, and each cycle contributes a free sum over the block: a factor M.
-The result is a truncated series in u = 1/(N+1) whose coefficients are
-exact polynomials in M.
+The patterns of a coset type share j(d), so index_cycle_table counts them
+by index cycles, from perfect matchings. The result is a truncated series
+in u = 1/(N+1) whose coefficients are exact polynomials in M.
 
 The final moment is a class function of (pi, pi'); any representative of
 the cycle type gives the same series (there is a property test for that),
@@ -17,6 +18,7 @@ so the canonical consecutive-block permutation is used.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +32,14 @@ from .algebra import (
     power_of,
 )
 from .moments import EnsembleParams, weighted_patterns
-from .partitions import normalize_partition, permutation_of_type
+from .partitions import (
+    matching_type,
+    normalize_partition,
+    partitions_of,
+    perfect_matchings,
+    permutation_of_type,
+    z_weight,
+)
 
 
 @dataclass(frozen=True)
@@ -103,31 +112,49 @@ def _variable_ties(perm):
     return ties
 
 
-def index_cycle_count(pattern, varz, varbar):
-    """Components of the union of pattern edges and variable ties.
+def index_cycle_count(ties, matching):
+    """Cycles of lam's ties with a matching, each a free block index (M)."""
+    return len(matching_type(ties, matching))
 
-    Every slot has exactly one edge of each kind, so components are simple
-    cycles; each is one free block index, worth a factor M. The walk visits
-    z-side slots in variable-tie pairs and hops across the conjugate side
-    through the pattern and its inverse.
+
+@functools.cache
+def _matching_counts(n):
+    """Each matching Y of the 2n z-slots with type(A, Y), and the counts C.
+
+    A pairs each factor's two slots. C[sigma, nu][rho] counts the matchings
+    X with type(A, X) = rho and type(X, Y) = nu. It is the same for every Y
+    of type sigma: the stabilizer of A keeps both types and moves Y to any
+    matching of its type.
     """
-    two_n = len(pattern)
-    inv = [0] * two_n
-    for s, w in enumerate(pattern):
-        inv[w] = s
-    visited = [False] * two_n
-    cycles = 0
-    for s in range(two_n):
-        if visited[s]:
-            continue
-        cycles += 1
-        cur = s
-        while not visited[cur]:
-            visited[cur] = True
-            partner = varz[cur]
-            visited[partner] = True
-            cur = inv[varbar[pattern[partner]]]
-    return cycles
+    pairs = [s ^ 1 for s in range(2 * n)]
+    matchings = [(y, matching_type(pairs, y))
+                 for y in perfect_matchings(2 * n)]
+    counts = defaultdict(Counter)
+    for sigma in partitions_of(n):
+        y = _variable_ties(permutation_of_type(sigma, n))
+        for x, rho in matchings:
+            counts[sigma, matching_type(x, y)][rho] += 1
+    return matchings, counts
+
+
+def index_cycle_table(lam, mu):
+    """T[rho][k]: the delta patterns of coset type rho with k index cycles.
+
+    A pattern pulls the z-bar side's factor pairs and mu's ties back to
+    matchings X and Y of the z-slots, with type(A, X) = rho, type(X, Y) = mu
+    and k the cycles of lam's ties with Y. Each pair (X, Y) comes from
+    2^len(mu) z_mu patterns, so T sums C over the matchings Y.
+    """
+    n = sum(lam)
+    matchings, counts = _matching_counts(n)
+    ties = _variable_ties(permutation_of_type(lam, n))
+    scale = 2 ** len(mu) * z_weight(mu)
+    table = defaultdict(Counter)
+    for y, sigma in matchings:
+        k = index_cycle_count(ties, y)
+        for rho, xs in counts[sigma, mu].items():
+            table[rho][k] += scale * xs
+    return table
 
 
 def trace_moment(lam, mu, cap, workers=1):
@@ -142,21 +169,12 @@ def trace_moment(lam, mu, cap, workers=1):
             series=TruncatedSeries(cap, [MPolynomial()] * (cap + 1)),
             selection_rule_zero=True,
         )
-    varz = _variable_ties(permutation_of_type(lam, n))
-    varbar = _variable_ties(permutation_of_type(mu, n))
+    table = index_cycle_table(lam, mu)
     coeffs = [defaultdict(int) for _ in range(cap + 1)]
-    # coset type -> {index cycles: patterns}; a type holds the same patterns
-    # in every stratum, so each is counted once, and only where j != 0
-    histograms = {}
     for r, weight, values in weighted_patterns(1, n, cap - n, workers):
         totals = defaultdict(int)  # index cycles -> sum of integer j(-1)
-        for rho, j, patterns in values:
-            if not j:
-                continue
-            if rho not in histograms:
-                histograms[rho] = Counter(
-                    index_cycle_count(p, varz, varbar) for p in patterns)
-            for k, count in histograms[rho].items():
+        for rho, j in values:
+            for k, count in table[rho].items():
                 totals[k] += j * count
         for k, total in totals.items():
             coeffs[n + r][k] += weight * total
@@ -164,9 +182,9 @@ def trace_moment(lam, mu, cap, workers=1):
     for power, bucket in enumerate(coeffs):
         top = max(bucket) if bucket else 0
         poly = MPolynomial(bucket.get(j, 0) for j in range(top + 1))
-        # every index cycle takes up at least one of the n z-side variable
-        # ties (index_cycle_count walks them in pairs), so the M-degree is at
-        # most n; with terms starting at u^n that reads deg <= min(k, n)
+        # every index cycle takes up at least one of lam's n variable ties,
+        # so the M-degree is at most n; with terms starting at u^n that
+        # reads deg <= min(k, n)
         if poly.degree > min(power, n):
             raise AssertionError(
                 "index cycles exceeded the M-degree bound deg <= min(k, n)"

@@ -34,9 +34,9 @@ of one) permutes the terms and the patterns alike, so j(d) depends on a
 pattern only through its coset type: the partition of n read off the
 cycles that the pattern edges form with each external factor's slot pair
 (a double coset H_n\\S_2n/H_n for beta=1, the class of
-sigma_row^-1 sigma_col for beta=2; Macdonald VII.2). A diagram sum is
-stored as one polynomial per coset type plus that type's patterns, and
-enumerate_wick checks that every type present is complete and uniform.
+sigma_row^-1 sigma_col for beta=2; Macdonald VII.2). So the kernel keeps
+two representative patterns per type, and a diagram sum stores one
+polynomial per type; class_patterns lists the patterns for output only.
 
 The terms are never visited one by one. z-factors are paired one per level,
 internal factors first in ring order n..F-1, then the externals 0..n-1. An
@@ -50,7 +50,8 @@ is the pattern so far plus the far-end pair of each unused zbar factor,
 with the pairs sorted (zbar labels never reach the output) and, for
 beta=1, each pair sorted too (both twists are enumerated). Equal states
 merge into one bytes key whose value packs the term counts per cycle
-number into one integer; only two levels are alive at a time.
+number into one integer; only two levels are alive at a time. An external
+level drops a state whose pattern so far is no prefix of a kept pattern.
 
 Determinism: the kernel is serial code, and every count is an exact
 integer sum, independent of dict order. Parallel runs happen one level up:
@@ -61,14 +62,21 @@ any worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import DimPolynomial
-from .partitions import normalize_partition, z_weight
+from .partitions import (
+    matching_type,
+    normalize_partition,
+    partitions_of,
+    permutation_of_type,
+    z_weight,
+)
 
 
 @dataclass(frozen=True)
@@ -149,9 +157,9 @@ def _check_graph(graph):
 class DiagramSum:
     """Accumulated enumeration result, one entry per coset type.
 
-    classes holds (type, poly, patterns) triples in type order: poly is the
-    integer polynomial in d counting terms by closed-cycle number, shared by
-    every pattern of that type. A pattern is a tuple p of length 2n with
+    classes holds (type, poly) pairs in type order: poly is the integer
+    polynomial in d counting terms by closed-cycle number, shared by every
+    pattern of that type. A pattern is a tuple p of length 2n with
     p[s] = the external zbar-slot matched to external z-slot s.
     """
 
@@ -159,62 +167,51 @@ class DiagramSum:
     n: int
     vertex_type: tuple
     edge_count: int
-    classes: tuple = field(compare=False)
+    classes: tuple
 
     @property
     def pattern_map(self):
         """Every pattern with its polynomial, in sorted pattern order."""
-        return expand_classes(self.classes)
+        return expand_classes(self.beta, self.n, self.classes)
 
     def to_json(self):
         return {
             "edges": self.edge_count,
             "patterns": [
-                {
-                    "match": [[s, int(p[s])] for s in range(len(p))],
-                    "poly": poly,
-                }
-                for p, poly in expand_classes(
-                    self.classes, DimPolynomial.to_json).items()
+                {"match": [[s, w] for s, w in enumerate(p)],
+                 "poly": poly.to_json()}
+                for p, poly in self.pattern_map.items()
             ],
         }
 
 
-def expand_classes(classes, convert=None):
+def expand_classes(beta, n, classes, convert=None):
     """Every pattern with its class's value, in sorted pattern order.
 
-    classes holds (type, value, patterns) triples; convert, when given,
-    maps each value once per class.
+    classes holds (type, value) pairs; convert, when given, maps each value
+    once per class.
     """
+    lists = class_patterns(beta, n)
     values = {}
-    for _, value, patterns in classes:
-        if convert:
-            value = convert(value)
-        values.update(dict.fromkeys(patterns, value))
+    for rho, value in classes:
+        values.update(dict.fromkeys(
+            lists[rho], convert(value) if convert else value))
     return {p: values[p] for p in sorted(values)}
 
 
 def coset_type(pattern):
     """Partition of n that fixes j(d) for a delta pattern, for either beta.
 
-    Joins each external factor's two slots (2f, 2f+1) on the z side and on
-    the zbar side, overlays the pattern edges and reads each cycle's
-    half-length: the number of z-side factors it passes through.
+    The type of two matchings of the z-slots: each external factor's slot
+    pair (2f, 2f+1), and the zbar factors' slot pairs pulled back through
+    the pattern. A cycle's half-length is the number of z-side factors it
+    passes through.
     """
     inv = [0] * len(pattern)
     for s, w in enumerate(pattern):
         inv[w] = s
-    seen = [False] * len(pattern)
-    parts = []
-    for start in range(0, len(pattern), 2):
-        length, s = 0, start
-        while not seen[s]:
-            seen[s] = seen[s ^ 1] = True
-            length += 1
-            s = inv[pattern[s ^ 1] ^ 1]
-        if length:
-            parts.append(length)
-    return tuple(sorted(parts, reverse=True))
+    return matching_type([s ^ 1 for s in range(len(pattern))],
+                         [inv[w ^ 1] for w in pattern])
 
 
 def coset_class_size(beta, n, rho):
@@ -223,8 +220,49 @@ def coset_class_size(beta, n, rho):
     return size << (2 * n - len(rho)) if beta == 1 else size
 
 
+def _untwisted(rows, cols):
+    """The pattern taking slot 2f to 2 rows[f] and 2f+1 to 2 cols[f] + 1."""
+    return tuple(itertools.chain.from_iterable(
+        (2 * r, 2 * c + 1) for r, c in zip(rows, cols)))
+
+
+@functools.cache
+def class_patterns(beta, n):
+    """Every delta pattern of (beta, n), bucketed by coset type, for output.
+
+    Raises AssertionError if a bucket's size is not coset_class_size.
+    """
+    if beta == 1:
+        patterns = itertools.permutations(range(2 * n))
+    else:  # rows end on rows and columns on columns
+        perms = list(itertools.permutations(range(n)))
+        patterns = (_untwisted(rows, cols) for rows in perms for cols in perms)
+    buckets = {}
+    for p in patterns:
+        buckets.setdefault(coset_type(p), []).append(p)
+    for rho, ps in buckets.items():
+        if len(ps) != coset_class_size(beta, n, rho):
+            raise AssertionError(f"coset type {rho} has {len(ps)} patterns")
+    return buckets
+
+
+def representatives(beta, n):
+    """Two patterns of each coset type, or one where the type has one.
+
+    The first sends, for each part of rho on factors a..a+L-1, slot 2f to
+    2f and slot 2f+1 to 2g+1, where g follows f cyclically in the block.
+    The second relabels the zbar factors g -> g+1 mod n and, for beta=1,
+    swaps each one's two slots; both moves keep the type.
+    """
+    reps = {}
+    for rho in partitions_of(n):
+        first = _untwisted(range(n), permutation_of_type(rho, n))
+        second = tuple(((w + 2) % (2 * n)) ^ (beta == 1) for w in first)
+        reps[rho] = tuple(dict.fromkeys((first, second)))
+    return reps
+
+
 _DEAD = 255  # marks a zbar slot that is already paired
-_FACTOR_OF_SLOT = bytes(s >> 1 for s in range(256))
 
 
 def _join(state, x, p, two_n):
@@ -246,15 +284,18 @@ def _join(state, x, p, two_n):
     return 0
 
 
-def _enumerate(beta, n, trace_from_zbar, factor_count):
-    """Sum every term of the slot graph, one paired z-factor per level.
+def _enumerate(beta, n, trace_from_zbar, factor_count, keep):
+    """Sum the terms of the slot graph, one paired z-factor per level.
 
-    Returns {pattern: [term count per cycle number]}. Raises AssertionError
-    if a final pattern is not a perfect matching of the external slots or
-    has too many cycles.
+    Returns {pattern: [term count per cycle number]} for the patterns in
+    keep that occur; keeping every pattern gives the full sum. Raises
+    AssertionError if a final pattern is not a perfect matching of the
+    external slots or has too many cycles.
     """
     F = factor_count
     two_n = 2 * n
+    # external factor f writes pattern slots 2f and 2f+1, in order of f
+    prefixes = [{bytes(p[:2 * f + 2]) for p in keep} for f in range(n)]
     twists = (0, 1) if beta == 1 else (0,)
     bits = (math.factorial(F) * len(twists) ** F).bit_length()
     max_cycles = 2 * (F - n) + 1  # a cycle needs at least one internal z-slot
@@ -282,6 +323,9 @@ def _enumerate(beta, n, trace_from_zbar, factor_count):
                     pairs.sort()
                     new = bytes(itertools.chain(state[:two_n], *pairs))
                     nxt[new] = nxt.get(new, 0) + (packed << cycles * bits)
+        if f < n:
+            nxt = {key: packed for key, packed in nxt.items()
+                   if key[:2 * f + 2] in prefixes[f]}
         level = nxt
     counts = {}
     mask = (1 << bits) - 1
@@ -298,28 +342,23 @@ def _enumerate(beta, n, trace_from_zbar, factor_count):
 
 
 def enumerate_wick(graph):
-    """Enumerate every pairing (and twist, for beta=1) of the slot graph.
+    """Sum the pairings (and twists, for beta=1) of the slot graph per type.
 
-    Raises AssertionError unless the kernel's counts are equal across each
-    coset type and every type that occurs has all its patterns.
+    The kernel keeps only the representatives of each coset type. Raises
+    AssertionError if a type's two representatives carry different counts,
+    or if one occurs without the other.
     """
     beta, n, F = graph.beta, graph.n, graph.factor_count
-    counts = _enumerate(beta, n, graph.trace_from_zbar, F)
-    by_type, types = {}, {}
-    for pattern in sorted(counts):
-        # the type only sees the zbar factor that each z-slot reaches
-        ends = bytes(pattern).translate(_FACTOR_OF_SLOT)
-        if ends not in types:
-            types[ends] = coset_type(pattern)
-        by_type.setdefault(types[ends], []).append(pattern)
+    reps = representatives(beta, n)
+    counts = _enumerate(beta, n, graph.trace_from_zbar, F,
+                        [p for patterns in reps.values() for p in patterns])
     classes = []
-    for rho, patterns in sorted(by_type.items()):
-        first = counts[patterns[0]]
-        if any(counts[p] != first for p in patterns):
+    for rho, patterns in sorted(reps.items()):
+        first, *rest = (counts.get(p) for p in patterns)
+        if any(row != first for row in rest):
             raise AssertionError(f"j(d) differs within coset type {rho}")
-        if len(patterns) != coset_class_size(beta, n, rho):
-            raise AssertionError(f"coset type {rho} is missing patterns")
-        classes.append((rho, DimPolynomial(first), tuple(patterns)))
+        if first is not None:
+            classes.append((rho, DimPolynomial(first)))
     return DiagramSum(
         beta=beta,
         n=n,

@@ -10,9 +10,11 @@ from cemoments.partitions import (
     compose,
     cycle_type,
     inverse,
+    matching_type,
     normalize_partition,
     partitions_no_ones_up_to_rank,
     partitions_of,
+    perfect_matchings,
     permutation_of_type,
     rank,
     z_weight,
@@ -158,3 +160,22 @@ def test_compose_inverse_identity(images):
     assert compose(p, inverse(p)) == ident
     assert compose(inverse(p), p) == ident
     assert cycle_type(inverse(p)) == cycle_type(p)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_perfect_matchings_are_every_fixed_point_free_involution(n):
+    want = {p for p in itertools.permutations(range(2 * n))
+            if all(p[s] != s and p[p[s]] == s for s in range(2 * n))}
+    got = perfect_matchings(2 * n)
+    assert len(got) == len(want) and set(got) == want
+
+
+def test_matching_type_reads_the_cycle_type_of_a_permutation():
+    # each factor's slot pair against the ties of pi: one cycle per cycle
+    for n in (1, 2, 3, 4):
+        pairs = [s ^ 1 for s in range(2 * n)]
+        for images in itertools.permutations(range(n)):
+            ties = [0] * (2 * n)
+            for f, g in enumerate(images):
+                ties[2 * f + 1], ties[2 * g] = 2 * g, 2 * f + 1
+            assert matching_type(pairs, ties) == cycle_type(images)

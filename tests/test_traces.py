@@ -10,7 +10,7 @@ engine output over a differing reference tuple.
 """
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -31,11 +31,12 @@ from cemoments.partitions import (
 from cemoments.traces import (
     TraceMomentQuery,
     index_cycle_count,
+    index_cycle_table,
     large_n_limit,
     regime_asymptotics,
     trace_moment,
 )
-from cemoments.wick import ExternalSpec, get_diagram_sum
+from cemoments.wick import ExternalSpec, coset_type, get_diagram_sum
 
 # expected nonzero coefficients, keyed by u power; tuples are ascending
 # M coefficients. Orders not listed must come out identically zero.
@@ -352,6 +353,31 @@ def _ties(perm):
     return out
 
 
+def _pattern_index_cycles(pattern, varz, varbar):
+    """Index cycles of one delta pattern, walked here independently.
+
+    The walk visits z-side slots in variable-tie pairs and hops across the
+    conjugate side through the pattern and its inverse.
+    """
+    two_n = len(pattern)
+    inv = [0] * two_n
+    for s, w in enumerate(pattern):
+        inv[w] = s
+    visited = [False] * two_n
+    cycles = 0
+    for s in range(two_n):
+        if visited[s]:
+            continue
+        cycles += 1
+        cur = s
+        while not visited[cur]:
+            visited[cur] = True
+            partner = varz[cur]
+            visited[partner] = True
+            cur = inv[varbar[pattern[partner]]]
+    return cycles
+
+
 def test_any_representative_permutation_gives_same_series():
     # the assembly only sees cycle types through the variable ties, so a
     # conjugated permutation must reproduce the series exactly
@@ -367,7 +393,7 @@ def test_any_representative_permutation_gives_same_series():
                 val = poly.eval_at(-1)
                 if val == 0:
                     continue
-                k = index_cycle_count(pattern, varz, varbar)
+                k = _pattern_index_cycles(pattern, varz, varbar)
                 buckets[power][k] = buckets[power].get(k, Fraction(0)) + w * val
         return buckets
 
@@ -391,10 +417,12 @@ def test_any_representative_permutation_gives_same_series():
 
 
 def test_index_cycle_count_spot_values():
-    assert index_cycle_count((0, 1), [1, 0], [1, 0]) == 1
-    assert index_cycle_count((1, 0), [1, 0], [1, 0]) == 1
+    # ties and matching alike: a shared edge is a cycle of its own
+    assert index_cycle_count([1, 0], (1, 0)) == 1
     swap_ties = [3, 2, 1, 0]
-    assert index_cycle_count((0, 1, 2, 3), swap_ties, swap_ties) == 2
+    assert index_cycle_count(swap_ties, (3, 2, 1, 0)) == 2
+    assert index_cycle_count(swap_ties, (1, 0, 3, 2)) == 1
+    assert _pattern_index_cycles((0, 1, 2, 3), swap_ties, swap_ties) == 2
 
 
 def test_m_degree_never_exceeds_u_power():
@@ -412,7 +440,7 @@ def test_m_degree_above_factor_count_is_rejected(monkeypatch):
     # u^(n+1)
     lam = (2,)
     n = sum(lam)
-    values = [((1,) * n, 1, (tuple(range(2 * n)),))]
+    values = [((1,) * n, 1)]
     monkeypatch.setattr(traces, "weighted_patterns",
                         lambda *args: iter([(1, Fraction(1), values)]))
     monkeypatch.setattr(traces, "index_cycle_count", lambda *args: n + 1)
@@ -431,7 +459,7 @@ def test_trace_series_contracts_entry_series_with_index_cycles():
             varbar = _ties(permutation_of_type(mu, n))
             want = [[Fraction(0)] * (n + 1) for _ in range(cap + 1)]
             for pattern, series in entry.items():
-                k = index_cycle_count(pattern, varz, varbar)
+                k = _pattern_index_cycles(pattern, varz, varbar)
                 for power in range(cap + 1):
                     want[power][k] += series.coefficient(power)
             got = trace_moment(lam, mu, cap).series
@@ -439,17 +467,18 @@ def test_trace_series_contracts_entry_series_with_index_cycles():
                 MPolynomial(coeffs) for coeffs in want]
 
 
-def test_trace_moment_counts_index_cycles_once_per_pattern(monkeypatch):
-    # the strata share their delta patterns; one call counts each once
-    calls = Counter()
-
-    def counting(pattern, varz, varbar):
-        calls[pattern] += 1
-        return index_cycle_count(pattern, varz, varbar)
-
-    monkeypatch.setattr(traces, "index_cycle_count", counting)
-    trace_moment((2, 1), (2, 1), 5)
-    assert calls and max(calls.values()) == 1
+def test_index_cycle_table_matches_the_per_pattern_histogram():
+    # T is read off perfect matchings; here every delta pattern is walked
+    for n in (1, 2, 3, 4):
+        patterns = list(itertools.permutations(range(2 * n)))
+        types = [coset_type(p) for p in patterns]
+        for lam, mu in itertools.product(partitions_of(n), repeat=2):
+            varz = _ties(permutation_of_type(lam, n))
+            varbar = _ties(permutation_of_type(mu, n))
+            want = defaultdict(Counter)
+            for pattern, rho in zip(patterns, types):
+                want[rho][_pattern_index_cycles(pattern, varz, varbar)] += 1
+            assert index_cycle_table(lam, mu) == want, (lam, mu)
 
 
 def test_block_sum_assembly_matches_entry_series():

@@ -7,6 +7,7 @@ checked term by term against a brute-force walk over every pairing.
 """
 
 import collections
+import dataclasses
 import itertools
 import math
 import os
@@ -228,7 +229,8 @@ def test_kernel_matches_brute_force_walk(fake_pool):
                 graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
                 brute[lam] = _brute_force_counts(graph)
                 got = wick._enumerate(beta, n, graph.trace_from_zbar,
-                                      graph.factor_count)
+                                      graph.factor_count,
+                                      _all_patterns(beta, n))
                 assert got == brute[lam], (beta, n, lam)
             # workers=2 sends whole strata through the inline pool
             for workers in (1, 2):
@@ -287,40 +289,71 @@ def test_unitary_coset_type_is_the_class_of_row_inverse_times_col():
 
 
 @pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_representatives_have_their_coset_type(beta, n):
+    reps = wick.representatives(beta, n)
+    assert sorted(reps) == sorted(partitions_of(n))
+    for rho, patterns in reps.items():
+        assert len(patterns) == min(2, _class_size(beta, n, rho))
+        for pattern in patterns:
+            assert sorted(pattern) == list(range(2 * n))
+            if beta == 2:  # rows end on rows and columns on columns
+                assert all(s % 2 == w % 2 for s, w in enumerate(pattern))
+            assert coset_type(pattern) == rho
+
+
+@pytest.mark.parametrize("beta", [1, 2])
 def test_kernel_counts_are_constant_on_each_complete_coset_type(beta):
     for n in (1, 2, 3):
+        everything = _all_patterns(beta, n)
+        reps = [p for ps in wick.representatives(beta, n).values()
+                for p in ps]
         for lam in [lam for size in range(8 - n + 1)
                     for lam in partitions_of(size, min_part=2)]:
             graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
             counts = wick._enumerate(beta, n, graph.trace_from_zbar,
-                                     graph.factor_count)
+                                     graph.factor_count, everything)
             by_type = collections.defaultdict(list)
             for pattern, row in counts.items():
                 by_type[coset_type(pattern)].append(row)
             for rho, rows in by_type.items():
                 assert len(rows) == _class_size(beta, n, rho), (n, lam, rho)
                 assert all(row == rows[0] for row in rows), (n, lam, rho)
+            # the kernel pruned to representatives counts them the same
+            kept = wick._enumerate(beta, n, graph.trace_from_zbar,
+                                   graph.factor_count, reps)
+            assert kept == {p: counts[p] for p in reps if p in counts}, (
+                n, lam)
 
 
 def test_enumeration_rejects_counts_that_break_a_coset_type(monkeypatch):
     real = wick._enumerate
     graph = build_slot_graph(ExternalSpec(beta=1, n=2), (2,))
     assert len(enumerate_wick(graph).classes) > 1
+    second = wick.representatives(1, 2)[(2,)][1]
 
     def perturbed(*args):
         counts = real(*args)
-        counts[max(counts)][0] += 1
+        counts[second][0] += 1
         return counts
 
-    def incomplete(*args):
+    def dropped(*args):
         counts = real(*args)
-        del counts[max(counts)]
+        del counts[second]
         return counts
 
-    for fake in (perturbed, incomplete):
+    for fake in (perturbed, dropped):
         monkeypatch.setattr(wick, "_enumerate", fake)
         with pytest.raises(AssertionError):
             enumerate_wick(graph)
+
+
+def test_diagram_sums_with_different_polynomials_compare_unequal():
+    ds = get_diagram_sum(1, 1, (2,))
+    copy = dataclasses.replace(ds)
+    assert ds == copy and hash(ds) == hash(copy)
+    other = dataclasses.replace(ds, classes=(((1,), DimPolynomial((7,))),))
+    assert ds != other
 
 
 def test_worker_counts_are_bit_identical():
