@@ -181,14 +181,6 @@ class TruncatedSeries:
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "terms", tuple(terms))
 
-    @classmethod
-    def single_term(cls, cap, power, coefficient):
-        if power > cap:
-            raise ValueError(f"power {power} exceeds cap {cap}")
-        terms = [Fraction(0)] * (cap + 1)
-        terms[power] = coefficient
-        return cls(cap, terms)
-
     def coefficient(self, power):
         if power < 0:
             raise IndexError("negative power")
@@ -197,9 +189,6 @@ class TruncatedSeries:
                 f"power {power} is beyond the truncation cap {self.cap}"
             )
         return self.terms[power]
-
-    def is_zero(self):
-        return all(t == 0 for t in self.terms)
 
     def eval_at(self, u, m=None):
         """Exact value of the truncated sum at u (and M=m where needed)."""

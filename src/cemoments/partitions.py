@@ -5,10 +5,18 @@ partitions (the ones fed to the diagram engine) have no part equal to 1;
 external cycle types for trace observables allow parts of 1.
 Permutations are tuples of 0-based images; a perfect matching is an
 involution without fixed points, in the same form.
+
+Matchings live on the 2n slots of n matrix factors, factor f owning slots
+2f and 2f+1. Their type against the factor pairs {2f, 2f+1} is a partition
+of n (matching_type). typed_matchings lists every matching with its type;
+cycle_matching gives one of type lam, the ties {2f+1, 2 pi(f)} of the
+canonical permutation pi of that cycle type. The diagram engine reads a
+delta pattern as such a matching with its pairs labelled.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import Counter
 from math import factorial
@@ -91,24 +99,17 @@ def permutation_of_type(lam, n):
     return tuple(images)
 
 
-def cycle_type(images):
-    """Cycle type of a permutation given as a tuple of 0-based images."""
-    n = len(images)
-    if sorted(images) != list(range(n)):
-        raise ValueError("not a permutation")
-    seen = [False] * n
-    parts = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        length = 0
-        cur = s
-        while not seen[cur]:
-            seen[cur] = True
-            cur = images[cur]
-            length += 1
-        parts.append(length)
-    return tuple(sorted(parts, reverse=True))
+def cycle_matching(lam, n):
+    """Matching of 2n slots tying slot 2f+1 to slot 2 pi(f).
+
+    pi is permutation_of_type(lam, n), so the type of the matching against
+    the factor pairs is lam.
+    """
+    ties = [0] * (2 * n)
+    for f, g in enumerate(permutation_of_type(lam, n)):
+        ties[2 * f + 1] = 2 * g
+        ties[2 * g] = 2 * f + 1
+    return tuple(ties)
 
 
 def perfect_matchings(size):
@@ -141,13 +142,8 @@ def matching_type(p, q):
     return tuple(sorted(parts, reverse=True))
 
 
-def compose(p, q):
-    """(p compose q)(x) = p[q[x]]."""
-    return tuple(p[q[x]] for x in range(len(q)))
-
-
-def inverse(p):
-    inv = [0] * len(p)
-    for x, y in enumerate(p):
-        inv[y] = x
-    return tuple(inv)
+@functools.cache
+def typed_matchings(n):
+    """Each perfect matching of 2n slots with its type against {2f, 2f+1}."""
+    pairs = [s ^ 1 for s in range(2 * n)]
+    return [(m, matching_type(pairs, m)) for m in perfect_matchings(2 * n)]

@@ -8,8 +8,10 @@ plays the same role on the conjugate side. Overlaying those ties on a
 diagram's delta pattern closes the external slots into disjoint index
 cycles, and each cycle contributes a free sum over the block: a factor M.
 The patterns of a coset type share j(d), so index_cycle_table counts them
-by index cycles, from perfect matchings. The result is a truncated series
-in u = 1/(N+1) whose coefficients are exact polynomials in M.
+by index cycles from the typed matchings of the z-slots, with the ties of
+lam and mu as cycle matchings, and builds no pattern. The result is a
+truncated series in u = 1/(N+1) whose coefficients are exact polynomials
+in M.
 
 The final moment is a class function of (pi, pi'); any representative of
 the cycle type gives the same series (there is a property test for that),
@@ -33,11 +35,11 @@ from .algebra import (
 )
 from .moments import EnsembleParams, weighted_patterns
 from .partitions import (
+    cycle_matching,
     matching_type,
     normalize_partition,
     partitions_of,
-    perfect_matchings,
-    permutation_of_type,
+    typed_matchings,
     z_weight,
 )
 
@@ -103,15 +105,6 @@ class TraceMomentResult:
         return data
 
 
-def _variable_ties(perm):
-    """Involution on 2n slots tying col(z_f) to row(z_{perm(f)})."""
-    ties = [0] * (2 * len(perm))
-    for f, g in enumerate(perm):
-        ties[2 * f + 1] = 2 * g
-        ties[2 * g] = 2 * f + 1
-    return ties
-
-
 def index_cycle_count(ties, matching):
     """Cycles of lam's ties with a matching, each a free block index (M)."""
     return len(matching_type(ties, matching))
@@ -119,38 +112,36 @@ def index_cycle_count(ties, matching):
 
 @functools.cache
 def _matching_counts(n):
-    """Each matching Y of the 2n z-slots with type(A, Y), and the counts C.
+    """C[sigma, nu][rho]: the matchings X of the 2n z-slots by two types.
 
     A pairs each factor's two slots. C[sigma, nu][rho] counts the matchings
-    X with type(A, X) = rho and type(X, Y) = nu. It is the same for every Y
-    of type sigma: the stabilizer of A keeps both types and moves Y to any
-    matching of its type.
+    X with type(A, X) = rho and type(X, Y) = nu for Y of type sigma, here
+    cycle_matching(sigma, n). Every such Y gives the same counts: the
+    stabilizer of A keeps both types and moves Y to any matching of its type.
     """
-    pairs = [s ^ 1 for s in range(2 * n)]
-    matchings = [(y, matching_type(pairs, y))
-                 for y in perfect_matchings(2 * n)]
     counts = defaultdict(Counter)
     for sigma in partitions_of(n):
-        y = _variable_ties(permutation_of_type(sigma, n))
-        for x, rho in matchings:
+        y = cycle_matching(sigma, n)
+        for x, rho in typed_matchings(n):
             counts[sigma, matching_type(x, y)][rho] += 1
-    return matchings, counts
+    return counts
 
 
 def index_cycle_table(lam, mu):
     """T[rho][k]: the delta patterns of coset type rho with k index cycles.
 
-    A pattern pulls the z-bar side's factor pairs and mu's ties back to
-    matchings X and Y of the z-slots, with type(A, X) = rho, type(X, Y) = mu
-    and k the cycles of lam's ties with Y. Each pair (X, Y) comes from
-    2^len(mu) z_mu patterns, so T sums C over the matchings Y.
+    A pattern is a labelled matching X of the z-slots (wick), and it pulls
+    mu's ties back to a matching Y, with type(A, X) = rho and type(X, Y) =
+    mu. Its index cycles are those of Y with lam's ties, the matching
+    cycle_matching(lam, n). Each pair (X, Y) comes from 2^len(mu) z_mu
+    patterns, so T sums C over the typed matchings Y.
     """
     n = sum(lam)
-    matchings, counts = _matching_counts(n)
-    ties = _variable_ties(permutation_of_type(lam, n))
+    counts = _matching_counts(n)
+    ties = cycle_matching(lam, n)
     scale = 2 ** len(mu) * z_weight(mu)
     table = defaultdict(Counter)
-    for y, sigma in matchings:
+    for y, sigma in typed_matchings(n):
         k = index_cycle_count(ties, y)
         for rho, xs in counts[sigma, mu].items():
             table[rho][k] += scale * xs

@@ -31,12 +31,17 @@ with c closed cycles: an integer polynomial j(d) in d.
 
 Relabelling the external factors (and, for beta=1, swapping the two slots
 of one) permutes the terms and the patterns alike, so j(d) depends on a
-pattern only through its coset type: the partition of n read off the
-cycles that the pattern edges form with each external factor's slot pair
-(a double coset H_n\\S_2n/H_n for beta=1, the class of
-sigma_row^-1 sigma_col for beta=2; Macdonald VII.2). So the kernel keeps
-two representative patterns per type, and a diagram sum stores one
-polynomial per type; class_patterns lists the patterns for output only.
+pattern only through its coset type. A pattern is a labelled matching:
+pulling the zbar factors' slot pairs back through it gives a perfect
+matching X of the external z-slots, and the labels say which zbar factor
+each pair of X reaches and, for beta=1, which of its two slots each end
+takes. Relabelling the zbar side changes only the labels, and relabelling
+the z side moves X and the factor pairs A = {2f, 2f+1} together, so the
+coset type is the type of (A, X), a partition of n (a double coset
+H_n\\S_2n/H_n for beta=1, the class of sigma_row^-1 sigma_col for beta=2;
+Macdonald VII.2). So the kernel keeps two labellings of one matching per
+type, a diagram sum stores one polynomial per type, and class_patterns
+labels every matching, for output only.
 
 The terms are never visited one by one. z-factors are paired one per level,
 internal factors first in ring order n..F-1, then the externals 0..n-1. An
@@ -71,10 +76,10 @@ from dataclasses import dataclass
 
 from .algebra import DimPolynomial
 from .partitions import (
-    matching_type,
+    cycle_matching,
     normalize_partition,
     partitions_of,
-    permutation_of_type,
+    typed_matchings,
     z_weight,
 )
 
@@ -199,47 +204,44 @@ def expand_classes(beta, n, classes, convert=None):
     return {p: values[p] for p in sorted(values)}
 
 
-def coset_type(pattern):
-    """Partition of n that fixes j(d) for a delta pattern, for either beta.
-
-    The type of two matchings of the z-slots: each external factor's slot
-    pair (2f, 2f+1), and the zbar factors' slot pairs pulled back through
-    the pattern. A cycle's half-length is the number of z-side factors it
-    passes through.
-    """
-    inv = [0] * len(pattern)
-    for s, w in enumerate(pattern):
-        inv[w] = s
-    return matching_type([s ^ 1 for s in range(len(pattern))],
-                         [inv[w ^ 1] for w in pattern])
-
-
 def coset_class_size(beta, n, rho):
     """Patterns of coset type rho: 4^n n!^2/(z 2^len) or n!^2/z."""
     size = math.factorial(n) ** 2 // z_weight(rho)
     return size << (2 * n - len(rho)) if beta == 1 else size
 
 
-def _untwisted(rows, cols):
-    """The pattern taking slot 2f to 2 rows[f] and 2f+1 to 2 cols[f] + 1."""
-    return tuple(itertools.chain.from_iterable(
-        (2 * r, 2 * c + 1) for r, c in zip(rows, cols)))
+def _label(pairs, factors, flips):
+    """Pattern sending each pair (a, b) to its zbar factor g and flip t.
+
+    Slot a goes to zbar-slot 2g+t and slot b to 2g+1-t.
+    """
+    pattern = [0] * (2 * len(pairs))
+    for (a, b), g, t in zip(pairs, factors, flips):
+        pattern[a], pattern[b] = 2 * g + t, 2 * g + 1 - t
+    return tuple(pattern)
 
 
 @functools.cache
 def class_patterns(beta, n):
     """Every delta pattern of (beta, n), bucketed by coset type, for output.
 
+    Labels each typed matching's pairs with the zbar factors in every
+    order and, for beta=1, with every flip. beta=2 keeps the matchings
+    that pair each row slot 2f with a column slot, and sends rows to rows.
     Raises AssertionError if a bucket's size is not coset_class_size.
     """
-    if beta == 1:
-        patterns = itertools.permutations(range(2 * n))
-    else:  # rows end on rows and columns on columns
-        perms = list(itertools.permutations(range(n)))
-        patterns = (_untwisted(rows, cols) for rows in perms for cols in perms)
+    orders = list(itertools.permutations(range(n)))
+    flips = list(itertools.product((0, 1) if beta == 1 else (0,), repeat=n))
     buckets = {}
-    for p in patterns:
-        buckets.setdefault(coset_type(p), []).append(p)
+    for x, rho in typed_matchings(n):
+        if beta == 1:
+            pairs = [(a, b) for a, b in enumerate(x) if a < b]
+        elif all(x[a] % 2 for a in range(0, 2 * n, 2)):
+            pairs = [(a, x[a]) for a in range(0, 2 * n, 2)]
+        else:
+            continue
+        buckets.setdefault(rho, []).extend(
+            _label(pairs, order, flip) for order in orders for flip in flips)
     for rho, ps in buckets.items():
         if len(ps) != coset_class_size(beta, n, rho):
             raise AssertionError(f"coset type {rho} has {len(ps)} patterns")
@@ -249,15 +251,17 @@ def class_patterns(beta, n):
 def representatives(beta, n):
     """Two patterns of each coset type, or one where the type has one.
 
-    The first sends, for each part of rho on factors a..a+L-1, slot 2f to
-    2f and slot 2f+1 to 2g+1, where g follows f cyclically in the block.
-    The second relabels the zbar factors g -> g+1 mod n and, for beta=1,
-    swaps each one's two slots; both moves keep the type.
+    Both label the pairs (2f, 2g+1) of cycle_matching(rho, n): the first
+    sends pair f to zbar factor f, rows to rows; the second sends it to
+    factor f+1 mod n and, for beta=1, flips it.
     """
     reps = {}
     for rho in partitions_of(n):
-        first = _untwisted(range(n), permutation_of_type(rho, n))
-        second = tuple(((w + 2) % (2 * n)) ^ (beta == 1) for w in first)
+        x = cycle_matching(rho, n)
+        pairs = [(a, x[a]) for a in range(0, 2 * n, 2)]
+        first = _label(pairs, range(n), [0] * n)
+        second = _label(pairs, [(f + 1) % n for f in range(n)],
+                        [int(beta == 1)] * n)
         reps[rho] = tuple(dict.fromkeys((first, second)))
     return reps
 

@@ -1,15 +1,14 @@
 """Partition bookkeeping and cycle-type permutations."""
 
 import itertools
+from collections import Counter
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cemoments.partitions import (
-    compose,
-    cycle_type,
-    inverse,
+    cycle_matching,
     matching_type,
     normalize_partition,
     partitions_no_ones_up_to_rank,
@@ -17,8 +16,10 @@ from cemoments.partitions import (
     perfect_matchings,
     permutation_of_type,
     rank,
+    typed_matchings,
     z_weight,
 )
+from oracle import compose, cycle_type, inverse
 
 
 def test_normalize_sorts_descending():
@@ -168,6 +169,15 @@ def test_perfect_matchings_are_every_fixed_point_free_involution(n):
             if all(p[s] != s and p[p[s]] == s for s in range(2 * n))}
     got = perfect_matchings(2 * n)
     assert len(got) == len(want) and set(got) == want
+    # typed_matchings lists them with their types; H_n (order 2^n n!) moves
+    # the matchings of one type transitively, with a stabilizer of order
+    # z_rho 2^len(rho)
+    typed = typed_matchings(n)
+    assert [m for m, _ in typed] == got
+    assert Counter(rho for _, rho in typed) == {
+        rho: 2 ** n * factorial(n) // (z_weight(rho) * 2 ** len(rho))
+        for rho in partitions_of(n)
+    }
 
 
 def test_matching_type_reads_the_cycle_type_of_a_permutation():
@@ -179,3 +189,7 @@ def test_matching_type_reads_the_cycle_type_of_a_permutation():
             for f, g in enumerate(images):
                 ties[2 * f + 1], ties[2 * g] = 2 * g, 2 * f + 1
             assert matching_type(pairs, ties) == cycle_type(images)
+    for n in range(1, 7):
+        pairs = [s ^ 1 for s in range(2 * n)]
+        for rho in partitions_of(n):
+            assert matching_type(pairs, cycle_matching(rho, n)) == rho

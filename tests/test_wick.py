@@ -17,13 +17,7 @@ import pytest
 from cemoments import wick
 from cemoments.algebra import DimPolynomial
 from cemoments.moments import moment_series
-from cemoments.partitions import (
-    compose,
-    cycle_type,
-    inverse,
-    partitions_of,
-    z_weight,
-)
+from cemoments.partitions import partitions_of, z_weight
 from cemoments.traces import trace_moment
 from cemoments.wick import (
     DiagramSum,
@@ -31,11 +25,11 @@ from cemoments.wick import (
     build_slot_graph,
     clear_diagram_cache,
     coset_class_size,
-    coset_type,
     enumerate_wick,
     get_diagram_sum,
     get_diagram_sums,
 )
+from oracle import compose, coset_type, cycle_type, inverse
 
 # per-pattern cycle polynomials at n=1, twisted model, ascending coefficients
 FROZEN = {
@@ -269,11 +263,17 @@ def test_coset_types_split_every_pattern_into_classes(beta, n):
     patterns = _all_patterns(beta, n)
     assert len(patterns) == (math.factorial(2 * n) if beta == 1
                              else math.factorial(n) ** 2)
-    sizes = collections.Counter(map(coset_type, patterns))
+    buckets = collections.defaultdict(list)
+    for pattern in patterns:
+        buckets[coset_type(pattern)].append(pattern)
     want = {rho: _class_size(beta, n, rho) for rho in partitions_of(n)}
-    assert sizes == want
+    assert {rho: len(ps) for rho, ps in buckets.items()} == want
     assert all(coset_class_size(beta, n, rho) == size
                for rho, size in want.items())
+    # the library labels typed matchings instead; same classes, no repeats
+    listed = wick.class_patterns(beta, n)
+    assert ({rho: sorted(ps) for rho, ps in listed.items()}
+            == {rho: sorted(ps) for rho, ps in buckets.items()})
 
 
 def test_unitary_coset_type_is_the_class_of_row_inverse_times_col():
