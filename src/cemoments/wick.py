@@ -41,7 +41,7 @@ coset type is the type of (A, X), a partition of n (a double coset
 H_n\\S_2n/H_n for beta=1, the class of sigma_row^-1 sigma_col for beta=2;
 Macdonald VII.2). So the kernel keeps two labellings of one matching per
 type, a diagram sum stores one polynomial per type, and class_patterns
-labels every matching, for output only.
+labels every matching of a type only when output lists that type.
 
 The terms are never visited one by one. z-factors are paired one per level,
 internal factors first in ring order n..F-1, then the externals 0..n-1. An
@@ -196,11 +196,10 @@ def expand_classes(beta, n, classes, convert=None):
     classes holds (type, value) pairs; convert, when given, maps each value
     once per class.
     """
-    lists = class_patterns(beta, n)
     values = {}
     for rho, value in classes:
-        values.update(dict.fromkeys(
-            lists[rho], convert(value) if convert else value))
+        value = convert(value) if convert else value
+        values.update(dict.fromkeys(class_patterns(beta, n, rho), value))
     return {p: values[p] for p in sorted(values)}
 
 
@@ -222,30 +221,32 @@ def _label(pairs, factors, flips):
 
 
 @functools.cache
-def class_patterns(beta, n):
-    """Every delta pattern of (beta, n), bucketed by coset type, for output.
+def class_patterns(beta, n, rho):
+    """Every delta pattern of (beta, n) of coset type rho, for output.
 
-    Labels each typed matching's pairs with the zbar factors in every
+    Labels each typed matching of type rho with the zbar factors in every
     order and, for beta=1, with every flip. beta=2 keeps the matchings
     that pair each row slot 2f with a column slot, and sends rows to rows.
-    Raises AssertionError if a bucket's size is not coset_class_size.
+    Raises AssertionError if the count is not coset_class_size.
     """
     orders = list(itertools.permutations(range(n)))
     flips = list(itertools.product((0, 1) if beta == 1 else (0,), repeat=n))
-    buckets = {}
-    for x, rho in typed_matchings(n):
+    patterns = []
+    for x, x_type in typed_matchings(n):
+        if x_type != rho:
+            continue
         if beta == 1:
             pairs = [(a, b) for a, b in enumerate(x) if a < b]
         elif all(x[a] % 2 for a in range(0, 2 * n, 2)):
             pairs = [(a, x[a]) for a in range(0, 2 * n, 2)]
         else:
             continue
-        buckets.setdefault(rho, []).extend(
+        patterns.extend(
             _label(pairs, order, flip) for order in orders for flip in flips)
-    for rho, ps in buckets.items():
-        if len(ps) != coset_class_size(beta, n, rho):
-            raise AssertionError(f"coset type {rho} has {len(ps)} patterns")
-    return buckets
+    if len(patterns) != coset_class_size(beta, n, rho):
+        raise AssertionError(
+            f"coset type {rho} has {len(patterns)} patterns")
+    return tuple(patterns)
 
 
 def representatives(beta, n):

@@ -270,8 +270,10 @@ def test_coset_types_split_every_pattern_into_classes(beta, n):
     assert {rho: len(ps) for rho, ps in buckets.items()} == want
     assert all(coset_class_size(beta, n, rho) == size
                for rho, size in want.items())
-    # the library labels typed matchings instead; same classes, no repeats
-    listed = wick.class_patterns(beta, n)
+    # the library labels typed matchings instead, one type at a time;
+    # over all types, the same classes with no repeats
+    listed = {rho: wick.class_patterns(beta, n, rho)
+              for rho in partitions_of(n)}
     assert ({rho: sorted(ps) for rho, ps in listed.items()}
             == {rho: sorted(ps) for rho, ps in buckets.items()})
 
