@@ -39,24 +39,30 @@ takes. Relabelling the zbar side changes only the labels, and relabelling
 the z side moves X and the factor pairs A = {2f, 2f+1} together, so the
 coset type is the type of (A, X), a partition of n (a double coset
 H_n\\S_2n/H_n for beta=1, the class of sigma_row^-1 sigma_col for beta=2;
-Macdonald VII.2). So the kernel keeps two labellings of one matching per
-type, a diagram sum stores one polynomial per type, and class_patterns
-labels every matching of a type only when output lists that type.
+Macdonald VII.2). Pushed through the pattern the other way, A becomes the
+matching Y = {(p[2f], p[2f+1])} of the external zbar slots, and the type
+is also that of (Y, B), B the zbar factor pairs. So a diagram sum stores
+one polynomial per type, and class_patterns labels every matching of a
+type only when output lists that type.
 
-The terms are never visited one by one. z-factors are paired one per level,
-internal factors first in ring order n..F-1, then the externals 0..n-1. An
-open path is tracked by its far ends: a free z-slot or an external zbar
-terminal, seen from a free zbar slot. (A free z-slot can end on an external
-z terminal only when it is that unpaired external slot itself, so with this
-order that needs no record.) A wick edge closes a cycle when it meets its
-own far end, completes a pattern pair when it joins an external z-slot,
-and otherwise splices the two far ends together. The state after a prefix
-is the pattern so far plus the far-end pair of each unused zbar factor,
-with the pairs sorted (zbar labels never reach the output) and, for
-beta=1, each pair sorted too (both twists are enumerated). Equal states
-merge into one bytes key whose value packs the term counts per cycle
-number into one integer; only two levels are alive at a time. An external
-level drops a state whose pattern so far is no prefix of a kept pattern.
+The terms are never visited one by one. The internal z-factors are paired
+one per level, in ring order n..F-1. An open path is tracked by its far
+end, seen from a free zbar slot: a free internal z-slot or an external
+zbar terminal. A wick edge closes a cycle when it meets its own far end,
+and otherwise splices the two far ends together. The state is the far-end
+pair of each unused zbar factor, with the pairs sorted (zbar labels never
+reach the output) and, for beta=1, each pair sorted too (both twists are
+enumerated). Equal states merge into one bytes key whose value packs the
+term counts per cycle number into one integer; only two levels are alive
+at a time. Slot numbers are bytes, so F is at most 127.
+
+The kernel stops after the internal levels. Every far end is then an
+external zbar terminal, so the final state is a matching Y of the 2n
+external zbar slots, with (row, col) pairs for beta=2. Pairing the
+external z-factors is forced from there: a pattern p comes from Y exactly
+when {(p[2f], p[2f+1])} = Y, and it has Y's counts. enumerate_wick files
+each Y under its type against B, and checks that every type present
+carries one count row on all of its matchings.
 
 Determinism: the kernel is serial code, and every count is an exact
 integer sum, independent of dict order. Parallel runs happen one level up:
@@ -76,12 +82,13 @@ from dataclasses import dataclass
 
 from .algebra import DimPolynomial
 from .partitions import (
-    cycle_matching,
+    matching_type,
     normalize_partition,
-    partitions_of,
     typed_matchings,
     z_weight,
 )
+
+_DEAD = 255  # marks a zbar slot that is already paired
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,9 @@ def build_slot_graph(spec, lam):
     lam = normalize_partition(lam, allow_ones=False)
     n = spec.n
     total = n + sum(lam)
+    if 2 * total > _DEAD:
+        raise ValueError(f"F = {total} factors is too many: slot numbers "
+                         f"are stored as bytes, so F <= {_DEAD // 2}")
     trace_from_zbar = [-1] * (2 * total)
     offset = n
     for q in lam:
@@ -249,29 +259,8 @@ def class_patterns(beta, n, rho):
     return tuple(patterns)
 
 
-def representatives(beta, n):
-    """Two patterns of each coset type, or one where the type has one.
-
-    Both label the pairs (2f, 2g+1) of cycle_matching(rho, n): the first
-    sends pair f to zbar factor f, rows to rows; the second sends it to
-    factor f+1 mod n and, for beta=1, flips it.
-    """
-    reps = {}
-    for rho in partitions_of(n):
-        x = cycle_matching(rho, n)
-        pairs = [(a, x[a]) for a in range(0, 2 * n, 2)]
-        first = _label(pairs, range(n), [0] * n)
-        second = _label(pairs, [(f + 1) % n for f in range(n)],
-                        [int(beta == 1)] * n)
-        reps[rho] = tuple(dict.fromkeys((first, second)))
-    return reps
-
-
-_DEAD = 255  # marks a zbar slot that is already paired
-
-
-def _join(state, x, p, two_n):
-    """Add the wick edge from z-slot x to the free zbar slot at state[p].
+def _join(state, x, p):
+    """Add the wick edge from internal z-slot x to the free zbar slot p.
 
     state[p] is the far end of that zbar slot: a free internal z-slot or
     an external zbar terminal (both are slot numbers; terminals are < 2n).
@@ -279,68 +268,56 @@ def _join(state, x, p, two_n):
     """
     e = state[p]
     state[p] = _DEAD
-    if x < two_n:  # external z-slot: the path is complete
-        state[x] = e
-        return 0
     if e == x:
         return 1
     # the zbar slot whose far end was x now ends where slot p ended
-    state[state.index(x, two_n)] = e
+    state[state.index(x)] = e
     return 0
 
 
-def _enumerate(beta, n, trace_from_zbar, factor_count, keep):
-    """Sum the terms of the slot graph, one paired z-factor per level.
+def _enumerate(graph):
+    """Sum the terms of the slot graph over its internal z-factors.
 
-    Returns {pattern: [term count per cycle number]} for the patterns in
-    keep that occur; keeping every pattern gives the full sum. Raises
-    AssertionError if a final pattern is not a perfect matching of the
-    external slots or has too many cycles.
+    Pairs one internal z-factor per level and returns {Y: [term count per
+    cycle number]}, Y the final far-end pairs as a sorted tuple. Raises
+    AssertionError if a final Y is not a perfect matching of the external
+    zbar slots ((row, col) pairs for beta=2) or has too many cycles.
     """
-    F = factor_count
+    beta, n, F = graph.beta, graph.n, graph.factor_count
     two_n = 2 * n
-    # external factor f writes pattern slots 2f and 2f+1, in order of f
-    prefixes = [{bytes(p[:2 * f + 2]) for p in keep} for f in range(n)]
     twists = (0, 1) if beta == 1 else (0,)
     bits = (math.factorial(F) * len(twists) ** F).bit_length()
     max_cycles = 2 * (F - n) + 1  # a cycle needs at least one internal z-slot
-    # key: the pattern so far (2n bytes) then the far ends of the two slots
-    # of each unused zbar factor; value: counts packed `bits` per cycle
-    start = [_DEAD] * two_n + [
-        y if y < two_n else trace_from_zbar[y] for y in range(2 * F)
-    ]
+    # key: the far ends of the two slots of each unused zbar factor;
+    # value: counts packed `bits` per cycle
+    start = [y if y < two_n else graph.trace_from_zbar[y]
+             for y in range(2 * F)]
     level = {bytes(start): 1}
-    for step, f in enumerate([*range(n, F), *range(n)]):
+    for f in range(n, F):
         nxt = {}
         for key, packed in level.items():
-            for g in range(F - step):
-                p = two_n + 2 * g
+            for p in range(0, len(key), 2):
                 for t in twists:
                     state = list(key)
-                    cycles = _join(state, 2 * f, p + t, two_n)
-                    cycles += _join(state, 2 * f + 1, p + 1 - t, two_n)
-                    pairs = [
-                        state[i:i + 2] for i in range(two_n, len(state), 2)
-                        if i != p
-                    ]
+                    cycles = _join(state, 2 * f, p + t)
+                    cycles += _join(state, 2 * f + 1, p + 1 - t)
+                    pairs = [state[i:i + 2] for i in range(0, len(state), 2)
+                             if i != p]
                     if beta == 1:
                         pairs = [sorted(pair) for pair in pairs]
                     pairs.sort()
-                    new = bytes(itertools.chain(state[:two_n], *pairs))
+                    new = bytes(itertools.chain(*pairs))
                     nxt[new] = nxt.get(new, 0) + (packed << cycles * bits)
-        if f < n:
-            nxt = {key: packed for key, packed in nxt.items()
-                   if key[:2 * f + 2] in prefixes[f]}
         level = nxt
     counts = {}
     mask = (1 << bits) - 1
     for key, packed in level.items():
-        pattern = tuple(key)
-        if sorted(pattern) != list(range(two_n)):
-            raise AssertionError("delta pattern is not a perfect matching")
+        if sorted(key) != list(range(two_n)) or (
+                beta == 2 and any(s % 2 for s in key[::2])):
+            raise AssertionError("far ends are not the external zbar slots")
         if packed >> max_cycles * bits:
             raise AssertionError("more closed cycles than internal z-slots")
-        counts[pattern] = [
+        counts[tuple(zip(key[::2], key[1::2]))] = [
             (packed >> c * bits) & mask for c in range(max_cycles)
         ]
     return counts
@@ -349,26 +326,32 @@ def _enumerate(beta, n, trace_from_zbar, factor_count, keep):
 def enumerate_wick(graph):
     """Sum the pairings (and twists, for beta=1) of the slot graph per type.
 
-    The kernel keeps only the representatives of each coset type. Raises
-    AssertionError if a type's two representatives carry different counts,
-    or if one occurs without the other.
+    Files each final matching Y of the kernel under its type against the
+    zbar factor pairs. Raises AssertionError unless every type present has
+    one count row and all of its matchings: coset_class_size over the
+    labellings of one matching, n! 2^n for beta=1 and n! for beta=2.
     """
-    beta, n, F = graph.beta, graph.n, graph.factor_count
-    reps = representatives(beta, n)
-    counts = _enumerate(beta, n, graph.trace_from_zbar, F,
-                        [p for patterns in reps.values() for p in patterns])
+    beta, n = graph.beta, graph.n
+    labellings = math.factorial(n) << n if beta == 1 else math.factorial(n)
+    factor_pairs = [s ^ 1 for s in range(2 * n)]
+    rows = {}
+    for pairs, row in _enumerate(graph).items():
+        y = [0] * (2 * n)
+        for a, b in pairs:
+            y[a], y[b] = b, a
+        rows.setdefault(matching_type(factor_pairs, y), []).append(row)
     classes = []
-    for rho, patterns in sorted(reps.items()):
-        first, *rest = (counts.get(p) for p in patterns)
-        if any(row != first for row in rest):
+    for rho, found in sorted(rows.items()):
+        if len(found) != coset_class_size(beta, n, rho) // labellings:
+            raise AssertionError(f"coset type {rho} lacks matchings")
+        if any(row != found[0] for row in found):
             raise AssertionError(f"j(d) differs within coset type {rho}")
-        if first is not None:
-            classes.append((rho, DimPolynomial(first)))
+        classes.append((rho, DimPolynomial(found[0])))
     return DiagramSum(
         beta=beta,
         n=n,
         vertex_type=graph.vertex_type,
-        edge_count=F,
+        edge_count=graph.factor_count,
         classes=tuple(classes),
     )
 

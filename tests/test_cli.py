@@ -184,6 +184,14 @@ def test_moment_json_symbolic_has_no_value(capsys):
         assert "value" not in entry
 
 
+def test_stratum_beyond_the_byte_limit_exits_2_with_message(capsys):
+    code, out, err = run_cli(capsys, "jpoly", "--lambda", "200")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: F = 201 factors is too many")
+    assert "F <= 127" in err
+
+
 def test_moment_cap_below_leading_order(capsys):
     code, _, err = run_cli(capsys, "moment", "--beta", "1", "--n", "2",
                            "--cap", "1")

@@ -86,6 +86,13 @@ def test_slot_graph_two_vertices():
     assert sorted(g.trace_from_zbar[6:]) == list(internal)
 
 
+def test_slot_graph_rejects_factors_beyond_a_byte():
+    # slot numbers are bytes and 255 marks a paired slot: F <= 127
+    assert build_slot_graph(ExternalSpec(1, 1), (126,)).factor_count == 127
+    with pytest.raises(ValueError, match="F = 128"):
+        build_slot_graph(ExternalSpec(1, 1), (127,))
+
+
 def test_slot_graph_rejects_parts_of_one():
     with pytest.raises(ValueError):
         build_slot_graph(ExternalSpec(beta=1, n=1), (2, 1))
@@ -222,10 +229,13 @@ def test_kernel_matches_brute_force_walk(fake_pool):
             for lam in strata:
                 graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
                 brute[lam] = _brute_force_counts(graph)
-                got = wick._enumerate(beta, n, graph.trace_from_zbar,
-                                      graph.factor_count,
-                                      _all_patterns(beta, n))
-                assert got == brute[lam], (beta, n, lam)
+                # every pattern has the counts of the matching it comes from
+                got = wick._enumerate(graph)
+                assert ({_final_matching(beta, p) for p in brute[lam]}
+                        == set(got)), (beta, n, lam)
+                for pattern, row in brute[lam].items():
+                    assert got[_final_matching(beta, pattern)] == row, (
+                        beta, n, lam, pattern)
             # workers=2 sends whole strata through the inline pool
             for workers in (1, 2):
                 clear_diagram_cache()
@@ -235,6 +245,22 @@ def test_kernel_matches_brute_force_walk(fake_pool):
                             for key in sorted(brute[lam])}
                     assert ds.pattern_map == want, (beta, n, lam, workers)
                     assert list(ds.pattern_map) == list(want)
+
+
+def _final_matching(beta, pattern):
+    """The kernel's final key for a pattern: its pairs (p[2f], p[2f+1]).
+
+    The pairs are sorted, and for beta=1 each pair is sorted too.
+    """
+    pairs = [pattern[s:s + 2] for s in range(0, len(pattern), 2)]
+    if beta == 1:
+        pairs = [sorted(pair) for pair in pairs]
+    return tuple(sorted(tuple(pair) for pair in pairs))
+
+
+def _labelled(pairs):
+    """The pattern sending pair f of a final key to zbar factor f."""
+    return tuple(itertools.chain(*pairs))
 
 
 def _all_patterns(beta, n):
@@ -292,55 +318,68 @@ def test_unitary_coset_type_is_the_class_of_row_inverse_times_col():
 
 @pytest.mark.parametrize("beta", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_representatives_have_their_coset_type(beta, n):
-    reps = wick.representatives(beta, n)
-    assert sorted(reps) == sorted(partitions_of(n))
-    for rho, patterns in reps.items():
-        assert len(patterns) == min(2, _class_size(beta, n, rho))
-        for pattern in patterns:
-            assert sorted(pattern) == list(range(2 * n))
-            if beta == 2:  # rows end on rows and columns on columns
-                assert all(s % 2 == w % 2 for s, w in enumerate(pattern))
-            assert coset_type(pattern) == rho
+def test_representatives_have_their_coset_type(beta, n, monkeypatch):
+    # each final matching of the kernel represents the patterns labelled
+    # from it, and enumerate_wick files it under their coset type
+    filed = {}
+    real = wick.matching_type
+
+    def recording(factor_pairs, y):
+        filed[tuple(y)] = real(factor_pairs, y)
+        return filed[tuple(y)]
+
+    monkeypatch.setattr(wick, "matching_type", recording)
+    for lam in [(), (2,)]:
+        graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
+        counts = wick._enumerate(graph)
+        filed.clear()
+        classes = dict(enumerate_wick(graph).classes)
+        for pairs, row in counts.items():
+            assert sorted(itertools.chain(*pairs)) == list(range(2 * n))
+            if beta == 2:  # (row, col) pairs
+                assert all(a % 2 == 0 and b % 2 == 1 for a, b in pairs)
+            y = [0] * (2 * n)
+            for a, b in pairs:
+                y[a], y[b] = b, a
+            rho = coset_type(_labelled(pairs))
+            assert filed[tuple(y)] == rho, (lam, pairs)
+            assert classes[rho] == DimPolynomial(row), (lam, pairs)
+        assert len(filed) == len(counts)
 
 
 @pytest.mark.parametrize("beta", [1, 2])
 def test_kernel_counts_are_constant_on_each_complete_coset_type(beta):
     for n in (1, 2, 3):
-        everything = _all_patterns(beta, n)
-        reps = [p for ps in wick.representatives(beta, n).values()
-                for p in ps]
         for lam in [lam for size in range(8 - n + 1)
                     for lam in partitions_of(size, min_part=2)]:
             graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
-            counts = wick._enumerate(beta, n, graph.trace_from_zbar,
-                                     graph.factor_count, everything)
             by_type = collections.defaultdict(list)
-            for pattern, row in counts.items():
-                by_type[coset_type(pattern)].append(row)
+            for pairs, row in wick._enumerate(graph).items():
+                by_type[coset_type(_labelled(pairs))].append(row)
+            # each final matching stands for n! 2^n (beta=1) or n!
+            # labelled patterns, all of the same type
+            labellings = math.factorial(n) * (2 ** n if beta == 1 else 1)
             for rho, rows in by_type.items():
-                assert len(rows) == _class_size(beta, n, rho), (n, lam, rho)
+                assert len(rows) * labellings == _class_size(beta, n, rho), (
+                    n, lam, rho)
                 assert all(row == rows[0] for row in rows), (n, lam, rho)
-            # the kernel pruned to representatives counts them the same
-            kept = wick._enumerate(beta, n, graph.trace_from_zbar,
-                                   graph.factor_count, reps)
-            assert kept == {p: counts[p] for p in reps if p in counts}, (
-                n, lam)
 
 
 def test_enumeration_rejects_counts_that_break_a_coset_type(monkeypatch):
     real = wick._enumerate
     graph = build_slot_graph(ExternalSpec(beta=1, n=2), (2,))
     assert len(enumerate_wick(graph).classes) > 1
-    second = wick.representatives(1, 2)[(2,)][1]
+    # the type (2,) has two matchings of the four zbar slots
+    second = ((0, 2), (1, 3))
+    assert second in real(graph)
 
-    def perturbed(*args):
-        counts = real(*args)
+    def perturbed(graph):
+        counts = real(graph)
         counts[second][0] += 1
         return counts
 
-    def dropped(*args):
-        counts = real(*args)
+    def dropped(graph):
+        counts = real(graph)
         del counts[second]
         return counts
 
