@@ -45,24 +45,38 @@ is also that of (Y, B), B the zbar factor pairs. So a diagram sum stores
 one polynomial per type, and class_patterns labels every matching of a
 type only when output lists that type.
 
-The terms are never visited one by one. The internal z-factors are paired
-one per level, in ring order n..F-1. An open path is tracked by its far
-end, seen from a free zbar slot: a free internal z-slot or an external
-zbar terminal. A wick edge closes a cycle when it meets its own far end,
-and otherwise splices the two far ends together. The state is the far-end
-pair of each unused zbar factor, with the pairs sorted (zbar labels never
-reach the output) and, for beta=1, each pair sorted too (both twists are
-enumerated). Equal states merge into one bytes key whose value packs the
-term counts per cycle number into one integer; only two levels are alive
-at a time. Slot numbers are bytes, so F is at most 127.
+The terms are never visited one by one, and no slot is numbered. The
+kernel pairs one free internal z-factor per level. What is left to pair
+is a disjoint union of components alternating unused zbar factors and
+free z-factors, and only its class up to relabelling matters: a path
+(a, b, k) runs from external zbar terminal a to terminal b through k
+zbar factors (a is the row terminal for beta=2; a < b for beta=1, which
+sums both twists), and a chain (-1, -1, k) is a ring of k zbar and k
+free z-factors. A state is the sorted tuple of its components; stratum
+lam starts at the paths (2g, 2g+1, 1) plus one chain per part of lam.
+Pairing a free z-factor x with an unused zbar factor g cuts or joins
+components (the cut-and-join moves of Goulden-Jackson 1997 and
+Harer-Zagier 1986); a chain of size 0 is a closed cycle, one power of d.
+x is in the first chain if there is one, else next to a on the first
+path with k > 1:
 
-The kernel stops after the internal levels. Every far end is then an
-external zbar terminal, so the final state is a matching Y of the 2n
-external zbar slots, with (row, col) pairs for beta=2. Pairing the
-external z-factors is forced from there: a pattern p comes from Y exactly
-when {(p[2f], p[2f+1])} = Y, and it has Y's counts. enumerate_wick files
-each Y under its type against B, and checks that every type present
-carries one count row on all of its matchings.
+    x in chain k, g at offset j of it: chains j and k-1-j, or twisted
+        chain k-1;
+    x in chain k, g one of the m zbars of (c, d, m): (c, d, k+m-1),
+        twisted or not;
+    x in path (a, b, k), g its j-th zbar: path (a, b, k-1-l) and chain
+        l = max(j-2, 0), or twisted (a, b, k-1);
+    x in path (a, b, k), g the j-th zbar of path (c, d, m): (a, d, 1+m-j)
+        and (c, b, k+j-2), or twisted (a, c, j) and (b, d, k-1+m-j).
+
+Equal states merge their count rows, one term count per cycle number,
+and only two levels are alive at a time. The final state is n paths
+with k = 1: a matching Y of the 2n external zbar slots, (row, col)
+pairs for beta=2. Pairing the external z-factors is forced from there:
+a pattern p comes from Y exactly when {(p[2f], p[2f+1])} = Y, and it has
+Y's counts. enumerate_wick files each Y under its type against B, and
+checks that every type present carries one count row on all of its
+matchings.
 
 Determinism: the kernel is serial code, and every count is an exact
 integer sum, independent of dict order. Parallel runs happen one level up:
@@ -73,6 +87,7 @@ any worker count.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -88,7 +103,7 @@ from .partitions import (
     z_weight,
 )
 
-_DEAD = 255  # marks a zbar slot that is already paired
+_MAX_FACTORS = 127  # factors per side in one stratum
 
 
 @dataclass(frozen=True)
@@ -115,57 +130,25 @@ class ExternalSpec:
 
 @dataclass(frozen=True)
 class SlotGraph:
-    """Integrand structure: factor counts plus trace identifications.
-
-    trace_from_zbar[s] is the z-slot identified with zbar-slot s, or -1 when
-    s is external. It maps the internal zbar-slots one to one onto the
-    internal z-slots; this one direction is all the kernel reads.
+    """Integrand structure: n external factors on each side, then one trace
+    ring per part of vertex_type, factor_count factors on each side in all.
     """
 
     beta: int
     n: int
     vertex_type: tuple
     factor_count: int
-    trace_from_zbar: tuple
 
 
 def build_slot_graph(spec, lam):
-    """Wire up externals plus one trace ring per part of lam."""
+    """Externals of spec plus one trace ring per part of lam."""
     lam = normalize_partition(lam, allow_ones=False)
-    n = spec.n
-    total = n + sum(lam)
-    if 2 * total > _DEAD:
-        raise ValueError(f"F = {total} factors is too many: slot numbers "
-                         f"are stored as bytes, so F <= {_DEAD // 2}")
-    trace_from_zbar = [-1] * (2 * total)
-    offset = n
-    for q in lam:
-        for t in range(q):
-            zf = offset + t
-            zf_next = offset + (t + 1) % q
-            # shared column of z_t and zb_t
-            trace_from_zbar[2 * zf + 1] = 2 * zf + 1
-            # row of zb_t feeds row of z_{t+1}
-            trace_from_zbar[2 * zf] = 2 * zf_next
-        offset += q
-    graph = SlotGraph(
-        beta=spec.beta,
-        n=n,
-        vertex_type=lam,
-        factor_count=total,
-        trace_from_zbar=tuple(trace_from_zbar),
-    )
-    _check_graph(graph)
-    return graph
-
-
-def _check_graph(graph):
-    two_n = 2 * graph.n
-    ties = graph.trace_from_zbar
-    if any(s >= 0 for s in ties[:two_n]):
-        raise AssertionError("external slot carries a trace edge")
-    if sorted(ties[two_n:]) != list(range(two_n, len(ties))):
-        raise AssertionError("internal slots are not tied one to one")
+    total = spec.n + sum(lam)
+    if total > _MAX_FACTORS:
+        raise ValueError(f"F = {total} factors is too many: the enumeration "
+                         f"is limited to F <= {_MAX_FACTORS}")
+    return SlotGraph(beta=spec.beta, n=spec.n, vertex_type=lam,
+                     factor_count=total)
 
 
 @dataclass(frozen=True)
@@ -259,68 +242,70 @@ def class_patterns(beta, n, rho):
     return tuple(patterns)
 
 
-def _join(state, x, p):
-    """Add the wick edge from internal z-slot x to the free zbar slot p.
+def _moves(beta, state):
+    """Pair one free z-factor x of a class state with each unused zbar g.
 
-    state[p] is the far end of that zbar slot: a free internal z-slot or
-    an external zbar terminal (both are slot numbers; terminals are < 2n).
-    Returns the number of cycles closed (0 or 1).
+    Yields (components, number of pairings) per outcome, by the move rules
+    of the module docstring; a chain (-1, -1, 0) is a closed cycle.
     """
-    e = state[p]
-    state[p] = _DEAD
-    if e == x:
-        return 1
-    # the zbar slot whose far end was x now ends where slot p ended
-    state[state.index(x)] = e
-    return 0
+    twisted = beta == 1
+    if state[0][0] < 0:  # x in the first chain
+        k = state[0][2]
+        rest = list(state[1:])
+        for j in range(k):
+            yield rest + [(-1, -1, j), (-1, -1, k - 1 - j)], 1
+        if twisted:
+            yield rest + [(-1, -1, k - 1)], k
+        for i, (c, d, m) in enumerate(rest):
+            yield (rest[:i] + [(c, d, k + m - 1)] + rest[i + 1:],
+                   2 * m if twisted else m)
+        return
+    i = next(i for i, part in enumerate(state) if part[2] > 1)
+    a, b, k = state[i]  # x next to terminal a
+    rest = list(state[:i] + state[i + 1:])
+    for j in range(1, k + 1):
+        loop = max(j - 2, 0)
+        yield rest + [(a, b, k - 1 - loop), (-1, -1, loop)], 1
+    if twisted:
+        yield rest + [(a, b, k - 1)], k
+    for h, (c, d, m) in enumerate(rest):
+        others = rest[:h] + rest[h + 1:]
+        for j in range(1, m + 1):
+            yield others + [(a, d, 1 + m - j), (c, b, k + j - 2)], 1
+            if twisted:
+                yield others + [(a, c, j), (b, d, k - 1 + m - j)], 1
 
 
 def _enumerate(graph):
     """Sum the terms of the slot graph over its internal z-factors.
 
-    Pairs one internal z-factor per level and returns {Y: [term count per
-    cycle number]}, Y the final far-end pairs as a sorted tuple. Raises
-    AssertionError if a final Y is not a perfect matching of the external
-    zbar slots ((row, col) pairs for beta=2) or has too many cycles.
+    Pairs one free z-factor per level, on class states, and returns
+    {Y: [term count per cycle number]}, Y the sorted (a, b) terminal pairs
+    of the final paths.
     """
     beta, n, F = graph.beta, graph.n, graph.factor_count
-    two_n = 2 * n
-    twists = (0, 1) if beta == 1 else (0,)
-    bits = (math.factorial(F) * len(twists) ** F).bit_length()
-    max_cycles = 2 * (F - n) + 1  # a cycle needs at least one internal z-slot
-    # key: the far ends of the two slots of each unused zbar factor;
-    # value: counts packed `bits` per cycle
-    start = [y if y < two_n else graph.trace_from_zbar[y]
-             for y in range(2 * F)]
-    level = {bytes(start): 1}
-    for f in range(n, F):
+    size = 2 * (F - n) + 1  # a cycle needs at least one internal z-slot
+    start = [(2 * g, 2 * g + 1, 1) for g in range(n)]
+    start += [(-1, -1, q) for q in graph.vertex_type]
+    level = {tuple(sorted(start)): [1] + [0] * (size - 1)}
+    for _ in range(F - n):
         nxt = {}
-        for key, packed in level.items():
-            for p in range(0, len(key), 2):
-                for t in twists:
-                    state = list(key)
-                    cycles = _join(state, 2 * f, p + t)
-                    cycles += _join(state, 2 * f + 1, p + 1 - t)
-                    pairs = [state[i:i + 2] for i in range(0, len(state), 2)
-                             if i != p]
-                    if beta == 1:
-                        pairs = [sorted(pair) for pair in pairs]
-                    pairs.sort()
-                    new = bytes(itertools.chain(*pairs))
-                    nxt[new] = nxt.get(new, 0) + (packed << cycles * bits)
+        for state, row in level.items():
+            outcomes = collections.Counter()
+            for parts, weight in _moves(beta, state):
+                if beta == 1:  # a path has no direction
+                    parts = [(min(a, b), max(a, b), k) for a, b, k in parts]
+                parts.sort()
+                cycles = parts.count((-1, -1, 0))
+                outcomes[tuple(parts[cycles:]), cycles] += weight
+            for (new, cycles), weight in outcomes.items():
+                acc = nxt.setdefault(new, [0] * size)
+                for c, count in enumerate(row):
+                    if count:
+                        acc[c + cycles] += weight * count
         level = nxt
-    counts = {}
-    mask = (1 << bits) - 1
-    for key, packed in level.items():
-        if sorted(key) != list(range(two_n)) or (
-                beta == 2 and any(s % 2 for s in key[::2])):
-            raise AssertionError("far ends are not the external zbar slots")
-        if packed >> max_cycles * bits:
-            raise AssertionError("more closed cycles than internal z-slots")
-        counts[tuple(zip(key[::2], key[1::2]))] = [
-            (packed >> c * bits) & mask for c in range(max_cycles)
-        ]
-    return counts
+    return {tuple((a, b) for a, b, _ in state): row
+            for state, row in level.items()}
 
 
 def enumerate_wick(graph):

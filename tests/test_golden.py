@@ -65,6 +65,9 @@ def _commands():
                 "--json"))
     out.append(("moment", "--beta", "2", "--n", "4", "--cap", "5"))
     out.append(("trace", "--lambda", "5", "--cap", "7"))
+    # deep strata, which reach the kernel's long-path and many-chain moves
+    out.append(("trace", "--lambda", "2", "--cap", "8"))
+    out.append(("trace", "--lambda", "4", "--cap", "9"))
     out.append(("verify", "cancellations"))
     out.append(("verify", "cancellations", "--json"))
     out.append(("verify", "catalan"))

@@ -3,7 +3,8 @@
 The frozen coefficient tuples below are cross-checked inside this file by
 counting arguments (total term counts, degree bounds, Catalan leading
 coefficients) rather than trusted blindly, and the enumeration kernel is
-checked term by term against a brute-force walk over every pairing.
+checked term by term against a brute-force walk over every pairing, and
+stratum by stratum against the slot-number kernel in oracle.py.
 """
 
 import collections
@@ -29,7 +30,14 @@ from cemoments.wick import (
     get_diagram_sum,
     get_diagram_sums,
 )
-from oracle import compose, coset_type, cycle_type, inverse
+from oracle import (
+    compose,
+    coset_type,
+    cycle_type,
+    inverse,
+    slot_enumerate,
+    trace_ties,
+)
 
 # per-pattern cycle polynomials at n=1, twisted model, ascending coefficients
 FROZEN = {
@@ -62,18 +70,19 @@ def test_slot_graph_no_vertices():
     g = build_slot_graph(ExternalSpec(beta=1, n=1), ())
     assert g.factor_count == 1
     # no internal identifications at all: every slot is external
-    assert g.trace_from_zbar == (-1, -1)
+    assert trace_ties(g) == (-1, -1)
 
 
 def test_slot_graph_single_pair_vertex():
     g = build_slot_graph(ExternalSpec(beta=1, n=1), (2,))
     assert g.factor_count == 3
-    ties_zbar = sum(1 for s in g.trace_from_zbar if s >= 0)
+    ties = trace_ties(g)
+    ties_zbar = sum(1 for s in ties if s >= 0)
     assert ties_zbar == 4
     # externals stay free
-    assert g.trace_from_zbar[0] == -1 and g.trace_from_zbar[1] == -1
+    assert ties[0] == -1 and ties[1] == -1
     # col(zb_t) = col(z_t); row(zb_t) = row(z_{t+1}) around the ring
-    assert g.trace_from_zbar == (-1, -1, 4, 3, 2, 5)
+    assert ties == (-1, -1, 4, 3, 2, 5)
 
 
 def test_slot_graph_two_vertices():
@@ -82,12 +91,13 @@ def test_slot_graph_two_vertices():
     assert g.vertex_type == (4, 3)
     # the internal zbar-slots map one to one onto the internal z-slots
     internal = range(6, 20)
-    assert all(g.trace_from_zbar[s] >= 0 for s in internal)
-    assert sorted(g.trace_from_zbar[6:]) == list(internal)
+    ties = trace_ties(g)
+    assert all(ties[s] >= 0 for s in internal)
+    assert sorted(ties[6:]) == list(internal)
 
 
 def test_slot_graph_rejects_factors_beyond_a_byte():
-    # slot numbers are bytes and 255 marks a paired slot: F <= 127
+    # a stratum has at most 127 factors per side
     assert build_slot_graph(ExternalSpec(1, 1), (126,)).factor_count == 127
     with pytest.raises(ValueError, match="F = 128"):
         build_slot_graph(ExternalSpec(1, 1), (127,))
@@ -189,7 +199,7 @@ def _brute_force_counts(graph):
     Returns {pattern: [term count per cycle number]}, the kernel's format.
     """
     F, two_n = graph.factor_count, 2 * graph.n
-    trace = graph.trace_from_zbar
+    trace = trace_ties(graph)
     masks = range(1 << F) if graph.beta == 1 else [0]
     counts = {}
     for perm in itertools.permutations(range(F)):
@@ -245,6 +255,19 @@ def test_kernel_matches_brute_force_walk(fake_pool):
                             for key in sorted(brute[lam])}
                     assert ds.pattern_map == want, (beta, n, lam, workers)
                     assert list(ds.pattern_map) == list(want)
+
+
+def test_class_kernel_matches_the_slot_kernel():
+    # every stratum with n <= 3 up to F = 9 (beta=1) or 10 (beta=2), and
+    # n = 4..6 up to F = 8: the same matchings Y with the same rows
+    for beta, max_f in [(1, 9), (2, 10)]:
+        for n in range(1, 7):
+            top = max_f if n <= 3 else 8
+            for lam in [lam for size in range(top - n + 1)
+                        for lam in partitions_of(size, min_part=2)]:
+                graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
+                assert wick._enumerate(graph) == slot_enumerate(graph), (
+                    beta, n, lam)
 
 
 def _final_matching(beta, pattern):
