@@ -80,9 +80,9 @@ matchings.
 
 Determinism: the kernel is serial code, and every count is an exact
 integer sum, independent of dict order. Parallel runs happen one level up:
-get_diagram_sums hands whole strata to a process pool, one stratum per job,
-and returns the results in the order asked, so they are bit-identical for
-any worker count.
+get_diagram_sums computes each stratum once, in process or as one job of a
+process pool, and returns the results in the order asked, so they are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ import itertools
 import math
 import operator
 import os
+import time
 from dataclasses import dataclass
 
 from .algebra import DimPolynomial
@@ -104,6 +105,7 @@ from .partitions import (
 )
 
 _MAX_FACTORS = 127  # factors per side in one stratum
+POOL_START_S = 0.05  # wall time to import, fork and shut down a 2-process pool
 
 
 @dataclass(frozen=True)
@@ -359,10 +361,13 @@ def get_diagram_sum(beta, n, lam):
 def get_diagram_sums(beta, n, strata, workers=1):
     """One cached diagram sum per stratum, in the order given.
 
-    Strata missing from the cache are enumerated once each, as whole jobs
-    of one process pool of min(workers, jobs, cpus) processes, largest
-    first. The results are returned in the order asked, so they do not
-    depend on the worker count or on the order in which jobs finish.
+    Strata missing from the cache are enumerated once each. With more
+    than one worker, the smallest run in process until they have taken
+    POOL_START_S, about the cost of starting a pool; only if more than one
+    is left do those go to one pool of min(workers, jobs, cpus) processes,
+    as whole jobs, largest first. The results are returned in the order
+    asked, so they do not depend on the worker count or on the order in
+    which jobs finish.
     """
     strata = [normalize_partition(lam, allow_ones=False) for lam in strata]
     missing = sorted(
@@ -371,6 +376,10 @@ def get_diagram_sums(beta, n, strata, workers=1):
         ),
         key=sum, reverse=True,
     )
+    start = time.perf_counter()
+    while (workers > 1 and missing
+           and time.perf_counter() - start < POOL_START_S):
+        get_diagram_sum(beta, n, missing.pop())
     workers = min(workers, len(missing), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from cemoments import wick
+
 
 @pytest.fixture
 def fake_pool(monkeypatch):
@@ -12,7 +14,8 @@ def fake_pool(monkeypatch):
 
     The engine imports the executor only where it starts a pool, so the
     patch goes on concurrent.futures itself. The fixture pins
-    os.cpu_count() to 4 and is the list that collects each pool's
+    os.cpu_count() to 4 and wick.POOL_START_S to 0, so every missing
+    stratum goes to the pool, and is the list that collects each pool's
     max_workers, so pool sizing is tested without starting a process.
     """
     sizes = []
@@ -34,4 +37,5 @@ def fake_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(wick, "POOL_START_S", 0)
     return sizes

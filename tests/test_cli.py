@@ -184,7 +184,7 @@ def test_moment_json_symbolic_has_no_value(capsys):
         assert "value" not in entry
 
 
-def test_stratum_beyond_the_byte_limit_exits_2_with_message(capsys):
+def test_stratum_of_more_than_127_factors_exits_2_with_message(capsys):
     code, out, err = run_cli(capsys, "jpoly", "--lambda", "200")
     assert code == 2
     assert out == ""

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import math
 import os
+import types
 
 import pytest
 
@@ -96,7 +97,7 @@ def test_slot_graph_two_vertices():
     assert sorted(ties[6:]) == list(internal)
 
 
-def test_slot_graph_rejects_factors_beyond_a_byte():
+def test_slot_graph_rejects_more_than_127_factors():
     # a stratum has at most 127 factors per side
     assert build_slot_graph(ExternalSpec(1, 1), (126,)).factor_count == 127
     with pytest.raises(ValueError, match="F = 128"):
@@ -420,7 +421,9 @@ def test_diagram_sums_with_different_polynomials_compare_unequal():
     assert ds != other
 
 
-def test_worker_counts_are_bit_identical():
+def test_worker_counts_are_bit_identical(monkeypatch):
+    # a zero budget sends these cheap strata through a real process pool
+    monkeypatch.setattr(wick, "POOL_START_S", 0)
     strata = [(2, 2), (3,), (2,), (), (4,)]
     clear_diagram_cache()
     base = [ds.pattern_map for ds in get_diagram_sums(1, 1, strata, 1)]
@@ -516,3 +519,63 @@ def test_results_follow_the_order_asked_not_the_schedule(fake_pool,
     assert sorted(enumerated) == [(2,), (3,)]
     assert sums[0] is sums[2] is sums[3]
     assert sums[1].vertex_type == (3,)
+
+
+SIX = [(), (2,), (3,), (4,), (2, 2), (3, 2)]
+# jobs are listed largest first, ties kept in the order asked; the pool
+# takes them from the front and the in-process loop from the back
+JOBS = sorted(SIX, key=sum, reverse=True)
+REAL_POOL_START_S = wick.POOL_START_S
+
+
+def _clock_of_jobs(monkeypatch, seconds_per_job):
+    """Make wick's clock read seconds_per_job per stratum enumerated.
+
+    Returns the list of enumerated vertex types, in enumeration order.
+    """
+    enumerated = []
+    real = wick.enumerate_wick
+
+    def counting(graph):
+        enumerated.append(graph.vertex_type)
+        return real(graph)
+
+    monkeypatch.setattr(wick, "enumerate_wick", counting)
+    monkeypatch.setattr(wick, "POOL_START_S", REAL_POOL_START_S)
+    monkeypatch.setattr(wick, "time", types.SimpleNamespace(
+        perf_counter=lambda: seconds_per_job * len(enumerated)))
+    return enumerated
+
+
+def _serial_maps(strata):
+    clear_diagram_cache()
+    maps = [ds.pattern_map for ds in get_diagram_sums(1, 1, strata)]
+    clear_diagram_cache()
+    return maps
+
+
+def test_cheap_strata_start_no_pool(fake_pool, monkeypatch):
+    sizes = fake_pool
+    enumerated = _clock_of_jobs(monkeypatch, 0.001)
+    serial = _serial_maps(SIX)
+    assert enumerated == SIX  # one worker: the order asked, as before
+    enumerated.clear()
+    got = get_diagram_sums(1, 1, SIX, 2)
+    assert sizes == []
+    assert [ds.pattern_map for ds in got] == serial
+    assert enumerated == JOBS[::-1]  # smallest first, all in process
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_pool_takes_what_is_left_once_the_budget_is_spent(fake_pool,
+                                                          monkeypatch, k):
+    sizes = fake_pool
+    serial = _serial_maps(SIX)
+    # the clock passes the budget after the k-th job, not before
+    enumerated = _clock_of_jobs(monkeypatch, REAL_POOL_START_S / (k - 0.5))
+    got = get_diagram_sums(1, 1, SIX, 64)
+    assert [ds.pattern_map for ds in got] == serial
+    left = JOBS[:-k]
+    assert enumerated == JOBS[::-1][:k] + left
+    # one stratum left is a single job, so it runs in process
+    assert sizes == ([min(len(left), 4)] if len(left) > 1 else [])
