@@ -54,6 +54,9 @@ def _commands():
                  ("--lambda", "2", "--mu", "1,1,1")):
         out.append(("trace",) + pair)
         out.append(("trace",) + pair + ("--json",))
+    # n >= 4, where the default cap max(4, n + 1) is n + 1 rather than 4
+    out.append(("trace", "--lambda", "4"))
+    out.append(("trace", "--lambda", "2,2", "--mu", "4", "--json"))
     out.append(("trace", "--lambda", "2", "--M", "3", "--N", "8"))
     out.append(("trace", "--lambda", "2", "--M", "3", "--N", "8", "--json"))
     out.append(("trace", "--lambda", "2,1", "--mu", "3", "--M", "2",
@@ -75,7 +78,7 @@ def _commands():
     return out
 
 
-REGIME_PARTITIONS = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+REGIME_PARTITIONS = [(1,), (2,), (1, 1), (3,), (4,), (2, 1), (1, 1, 1)]
 
 
 def _regime_cases():
