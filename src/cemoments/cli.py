@@ -112,9 +112,7 @@ def cmd_trace(args):
     if (args.M is None) != (args.N is None):
         raise ValueError("numeric evaluation needs both --M and --N")
     mu = args.mu if args.mu is not None else args.lam
-    n = sum(args.lam)
-    cap = args.cap if args.cap is not None else max(4, n + 1)
-    result = trace_moment(args.lam, mu, cap, workers=args.workers)
+    result = trace_moment(args.lam, mu, args.cap, workers=args.workers)
     if args.M is not None:
         value = result.value_at(args.N, args.M)
     if args.json:

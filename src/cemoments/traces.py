@@ -21,6 +21,7 @@ so the canonical consecutive-block permutation is used.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,31 +46,23 @@ from .partitions import (
 
 
 @dataclass(frozen=True)
-class TraceMomentQuery:
+class TraceMomentResult:
     lam: tuple
     mu: tuple
     cap: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", normalize_partition(self.lam))
-        object.__setattr__(self, "mu", normalize_partition(self.mu))
-        if self.cap < sum(self.lam):
-            raise ValueError(
-                f"cap {self.cap} is below the leading order u^{sum(self.lam)}"
-            )
-
-
-@dataclass(frozen=True)
-class TraceMomentResult:
-    query: TraceMomentQuery
     series: TruncatedSeries
-    selection_rule_zero: bool
 
     @property
     def n(self):
-        return sum(self.query.lam)
+        return sum(self.lam)
+
+    @property
+    def selection_rule_zero(self):
+        return sum(self.mu) != self.n
 
     def value_at(self, N, M):
+        # index(): a float N or M would carry floats into the exact series
+        N, M = operator.index(N), operator.index(M)
         if N < 1 or M < 0:
             raise ValueError("need matrix size N >= 1 and block size M >= 0")
         if M > N:
@@ -80,7 +73,7 @@ class TraceMomentResult:
         if self.selection_rule_zero:
             return "0 (selection rule: |lambda| != |mu|)"
         pieces = []
-        for k in range(self.n, self.query.cap + 1):
+        for k in range(self.n, self.cap + 1):
             poly = self.series.coefficient(k)
             negative = poly.coefficient(poly.degree) < 0
             pieces.append((negative, str(-poly if negative else poly),
@@ -89,15 +82,15 @@ class TraceMomentResult:
 
     def to_json(self):
         data = {
-            "lambda": list(self.query.lam),
-            "mu": list(self.query.mu),
-            "cap": self.query.cap,
+            "lambda": list(self.lam),
+            "mu": list(self.mu),
+            "cap": self.cap,
             "series": [
                 {
                     "u_power": k,
                     "M_poly": self.series.coefficient(k).to_json(),
                 }
-                for k in range(self.query.cap + 1)
+                for k in range(self.cap + 1)
             ],
         }
         if self.selection_rule_zero:
@@ -148,17 +141,18 @@ def index_cycle_table(lam, mu):
     return table
 
 
-def trace_moment(lam, mu, cap, workers=1):
+def trace_moment(lam, mu, cap=None, workers=1):
     """Series for < p_lam(B) conj(p_mu(B)) > over the M x M block."""
-    query = TraceMomentQuery(lam=tuple(lam), mu=tuple(mu), cap=cap)
-    lam, mu = query.lam, query.mu
+    lam, mu = normalize_partition(lam), normalize_partition(mu)
     n = sum(lam)
+    if cap is None:
+        cap = max(4, n + 1)
+    if cap < n:
+        raise ValueError(f"cap {cap} is below the leading order u^{n}")
     if sum(mu) != n:
         # phase invariance: z and z-bar counts must match, term by term
         return TraceMomentResult(
-            query=query,
-            series=TruncatedSeries(cap, [MPolynomial()] * (cap + 1)),
-            selection_rule_zero=True,
+            lam, mu, cap, TruncatedSeries(cap, [MPolynomial()] * (cap + 1))
         )
     table = index_cycle_table(lam, mu)
     coeffs = [defaultdict(int) for _ in range(cap + 1)]
@@ -183,11 +177,7 @@ def trace_moment(lam, mu, cap, workers=1):
         if poly and poly.coefficient(0) != 0:
             raise AssertionError("every term must carry at least one cycle")
         terms.append(poly)
-    return TraceMomentResult(
-        query=query,
-        series=TruncatedSeries(cap, terms),
-        selection_rule_zero=False,
-    )
+    return TraceMomentResult(lam, mu, cap, TruncatedSeries(cap, terms))
 
 
 def _large_m_coefficients(series, n_start):
@@ -209,8 +199,6 @@ def _large_m_coefficients(series, n_start):
             # expand u^(k-j) (1-u)^j
             for t in range(j + 1):
                 m = k - j + t
-                if m > cap:
-                    break
                 term = c * comb(j, t) * (-1) ** t
                 out[m][j] = out[m].get(j, Fraction(0)) + term
     return out
@@ -240,12 +228,8 @@ def regime_asymptotics(lam, mu, regime, cap=None, workers=1):
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
-    lam = normalize_partition(lam)
-    mu = normalize_partition(mu)
-    n = sum(lam)
-    if cap is None:
-        cap = max(4, n + 1)
     result = trace_moment(lam, mu, cap, workers=workers)
+    n, cap = result.n, result.cap
     if result.selection_rule_zero:
         return RegimeReport(regime=regime, leading="0", indeterminate=False,
                             cap=cap, final_below=cap + 1)

@@ -5,10 +5,13 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from cemoments import cli
+from cemoments import cli, montecarlo
+from cemoments.algebra import DimPolynomial, TruncatedSeries
 from cemoments.cli import build_parser, main, parse_partition
 
 
@@ -386,6 +389,47 @@ def test_verify_all_json(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert len(rows) == 12
     assert all(row["verdict"] == "pass" for row in rows)
+
+
+def _break_cancellations(monkeypatch):
+    # a nonzero u^2 coefficient: the rank-1 strata no longer cancel
+    series = TruncatedSeries(4, [0, 1, 1, 0, 0])
+    monkeypatch.setattr(cli, "moment_series", lambda *args, **kwargs:
+                        SimpleNamespace(classes=((None, series),)))
+
+
+def _break_catalan(monkeypatch):
+    real = cli.get_diagram_sums
+
+    def doubled_first(beta, n, strata, workers):
+        first, *rest = real(beta, n, strata, workers)
+        classes = tuple((rho, DimPolynomial(2 * c for c in poly.coeffs))
+                        for rho, poly in first.classes)
+        return [replace(first, classes=classes)] + rest
+
+    monkeypatch.setattr(cli, "get_diagram_sums", doubled_first)
+
+
+def _break_mc_coe(monkeypatch):
+    monkeypatch.setattr(montecarlo, "compare", lambda *args, **kwargs: "fail")
+
+
+@pytest.mark.parametrize("suite, breaker, failed", [
+    ("cancellations", _break_cancellations, 1),
+    ("catalan", _break_catalan, 1),
+    ("mc-coe", _break_mc_coe, 4),
+])
+def test_verify_failure_exits_1(capsys, monkeypatch, suite, breaker, failed):
+    breaker(monkeypatch)
+    argv = ("verify", suite, "--samples", "2000")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.count("... FAIL") + out.count("... fail") == failed
+    assert out.strip().splitlines()[-1] == f"{failed} check(s) FAILED"
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [row["verdict"] for row in rows].count("fail") == failed
 
 
 # ---------------------------------------------------------------------

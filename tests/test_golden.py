@@ -22,7 +22,6 @@ from cemoments.algebra import MPolynomial, TruncatedSeries
 from cemoments.cli import format_pattern_series, main
 from cemoments.traces import (
     REGIMES,
-    TraceMomentQuery,
     TraceMomentResult,
     regime_asymptotics,
 )
@@ -133,12 +132,9 @@ def test_pattern_series_renders_rational_scalars():
 
 
 def test_trace_series_renders_rational_m_polynomials():
-    query = TraceMomentQuery(lam=(1,), mu=(1,), cap=3)
-
     def fmt(*coeffs):
         series = TruncatedSeries(3, [MPolynomial(c) for c in coeffs])
-        return TraceMomentResult(query=query, series=series,
-                                 selection_rule_zero=False).format()
+        return TraceMomentResult((1,), (1,), 3, series).format()
 
     half, quarter = Fraction(1, 2), Fraction(3, 4)
     assert fmt((), (0, half), (0, 0, -quarter), (0, -half, 1)) == (

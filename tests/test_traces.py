@@ -26,7 +26,7 @@ from cemoments.partitions import (
     z_weight,
 )
 from cemoments.traces import (
-    TraceMomentQuery,
+    TraceMomentResult,
     index_cycle_count,
     index_cycle_table,
     large_n_limit,
@@ -519,6 +519,25 @@ def test_value_at():
     assert t11.value_at(8, 3) == Fraction(2, 3)
     with pytest.raises(ValueError):
         t22.value_at(3, 9)
+    # floats never enter the exact series
+    for N, M in ((8, 2.5), (8.0, 2)):
+        with pytest.raises(TypeError):
+            t22.value_at(N, M)
+
+
+def test_default_cap_is_one_order_past_the_leading_term():
+    # the selection-rule zeros need no enumeration, so n = 5 stays cheap
+    assert trace_moment((2,), (1, 1, 1)).cap == 4
+    assert trace_moment((3,), (3,)).cap == 4
+    assert trace_moment((5,), (1,)).cap == 6
+    assert regime_asymptotics((5,), (1,), "M=N").cap == 6
+
+
+def test_selection_rule_follows_lambda_and_mu():
+    zero = trace_moment((2,), (1, 1, 1), 4)
+    assert zero.selection_rule_zero
+    assert not TraceMomentResult((2,), (1, 1), 4, zero.series) \
+        .selection_rule_zero
 
 
 def test_format_strings():
@@ -545,10 +564,11 @@ def test_to_json_shape():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        TraceMomentQuery(lam=(2, 2), mu=(2, 2), cap=3)
-    q = TraceMomentQuery(lam=(1, 2), mu=(2, 1), cap=4)
-    assert q.lam == (2, 1)
+    with pytest.raises(ValueError, match=r"cap 3 is below the leading "
+                                         r"order u\^4"):
+        trace_moment((2, 2), (2, 2), 3)
+    result = trace_moment((1, 2), (1, 1, 1), 4)
+    assert (result.lam, result.mu, result.cap) == ((2, 1), (1, 1, 1), 4)
     # a truncated (2.9,) would silently give the (2,) series
     with pytest.raises(TypeError):
         trace_moment((2.9,), (2.9,), 4)
