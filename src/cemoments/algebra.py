@@ -9,6 +9,7 @@ carry an explicit truncation cap and refuse to report coefficients beyond it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 def _strip_trailing_zeros(coeffs):
     coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
 
@@ -25,11 +26,26 @@ def _format_poly(coeffs, var):
     """Render descending-power form like 2d^3+4d^2+10d+8 or 4M^2+4M."""
     pieces = []
     for power in range(len(coeffs) - 1, -1, -1):
-        mag = abs(coeffs[power])
-        if mag:
-            body = "" if mag == 1 and power else str(mag)
-            pieces.append((coeffs[power] < 0, body, power_of(var, power)))
+        if coeffs[power]:
+            text = str(coeffs[power])
+            mag = text.lstrip("-")
+            body = "" if mag == "1" and power else mag
+            pieces.append((text[0] == "-", body, power_of(var, power)))
     return format_terms(pieces).replace(" ", "")
+
+
+def _horner(coeffs, x):
+    """Exact sum of coeffs[k] x^k, in integers over one common denominator."""
+    x = Fraction(x)
+    # lcm(*list), not lcm(*generator): CPython grows a tuple built from a
+    # generator in place, and the grown tuple stays on a freelist when freed
+    denominator = math.lcm(*[c.denominator for c in coeffs])
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = (acc * x.numerator
+               + c.numerator * (denominator // c.denominator) * scale)
+        scale *= x.denominator
+    return Fraction(acc * x.denominator, denominator * scale)
 
 
 def power_of(var, power):
@@ -110,7 +126,8 @@ class MPolynomial:
     coeffs: tuple
 
     def __init__(self, coeffs=()):
-        cleaned = _strip_trailing_zeros(Fraction(c) for c in coeffs)
+        cleaned = _strip_trailing_zeros(
+            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
         object.__setattr__(self, "coeffs", cleaned)
 
     @property
@@ -138,14 +155,8 @@ class MPolynomial:
             return hash(self.coefficient(0))
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return MPolynomial(-c for c in self.coeffs)
-
     def eval_at(self, m):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * m + c
-        return acc
+        return _horner(self.coeffs, m)
 
     def __str__(self):
         # Rational coefficients render with an explicit slash, e.g. 1/2M^2.
@@ -173,7 +184,7 @@ class TruncatedSeries:
         cap = operator.index(cap)
         if cap < 0:
             raise ValueError("truncation cap must be >= 0")
-        terms = [t if isinstance(t, MPolynomial) else Fraction(t)
+        terms = [t if isinstance(t, (MPolynomial, Fraction)) else Fraction(t)
                  for t in terms]
         if len(terms) > cap + 1:
             raise ValueError("more terms than the cap allows")
@@ -192,16 +203,15 @@ class TruncatedSeries:
 
     def eval_at(self, u, m=None):
         """Exact value of the truncated sum at u (and M=m where needed)."""
-        u = Fraction(u)
         low = next((k for k, t in enumerate(self.terms) if t), self.cap + 1)
-        acc = Fraction(0)
-        for t in reversed(self.terms[low:]):
+        values = [0] * low
+        for t in self.terms[low:]:
             if isinstance(t, MPolynomial):
                 if m is None:
                     raise ValueError("series has M-dependence; m is required")
                 t = t.eval_at(m)
-            acc = acc * u + t
-        return acc * u ** low
+            values.append(t)
+        return _horner(values, u)
 
     def to_json(self):
         encoded = []

@@ -16,11 +16,17 @@ would silently break the cancellations between strata of equal rank.
 
 Since j(d) is one polynomial per coset type, the stratum loop evaluates it
 once per (stratum, type), and a moment series holds one series per type.
-Its patterns are listed only by the outputs that name them.
+Its patterns are listed only by the outputs that name them. The loop gives
+each stratum weight as an integer numerator over one common denominator, so
+its consumers sum integers and build one Fraction per output coefficient.
+The strata and their weights are computed once per process.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +69,7 @@ _ENSEMBLES = {
 }
 
 
+@functools.cache
 def stratum_coefficient(beta, lam):
     """Exact weight of every diagram in stratum lam, before its j(d)."""
     return _ENSEMBLES[beta].vertex_weight ** len(lam) / z_weight(lam)
@@ -71,16 +78,22 @@ def stratum_coefficient(beta, lam):
 def weighted_patterns(beta, n, max_rank, workers=1):
     """Walk every vertex stratum lam with rank(lam) <= max_rank.
 
-    Yields (rank(lam), stratum_coefficient(beta, lam), values) once per
-    stratum; values lazily gives (type, j) per coset type, with the integer
-    j(d) shared by all the type's delta patterns. This is the one stratum
-    loop: moment_series and trace_moment use it.
+    Returns (denominator, strata): the common denominator of the stratum
+    coefficients, and an iterator with one (rank(lam), weight, values) per
+    stratum, weight the integer stratum_coefficient(beta, lam) times the
+    denominator. values lazily gives (type, j) per coset type, with the
+    integer j(d) shared by all the type's delta patterns. This is the one
+    stratum loop: moment_series and trace_moment use it.
     """
     d = _ENSEMBLES[beta].d_value
     strata = partitions_no_ones_up_to_rank(max_rank)
-    for lam, ds in zip(strata, get_diagram_sums(beta, n, strata, workers)):
-        values = ((rho, poly.eval_at(d)) for rho, poly in ds.classes)
-        yield rank(lam), stratum_coefficient(beta, lam), values
+    weights = [stratum_coefficient(beta, lam) for lam in strata]
+    denominator = math.lcm(*[w.denominator for w in weights])
+    sums = get_diagram_sums(beta, n, strata, workers)
+    return denominator, (
+        (rank(lam), w.numerator * (denominator // w.denominator),
+         ((rho, poly.eval_at(d)) for rho, poly in ds.classes))
+        for lam, w, ds in zip(strata, weights, sums))
 
 
 @dataclass(frozen=True)
@@ -123,19 +136,21 @@ class MomentSeries:
 
 def moment_series(spec, order_cap, workers=1):
     """Sum the vertex strata of an entry-moment expansion up to order_cap."""
-    n = spec.n
+    order_cap, n = operator.index(order_cap), spec.n
     if order_cap < n:
         raise ValueError(
             f"cap {order_cap} is below the leading order u^{n}"
         )
-    per_type = {}  # coset type -> series terms
-    for r, weight, values in weighted_patterns(spec.beta, n, order_cap - n,
-                                               workers):
+    denominator, strata = weighted_patterns(spec.beta, n, order_cap - n,
+                                            workers)
+    per_type = {}  # coset type -> series numerators over the denominator
+    for r, weight, values in strata:
         for rho, j in values:
             terms = per_type.setdefault(rho, [0] * (order_cap + 1))
             terms[n + r] += weight * j
     classes = tuple(
-        (rho, TruncatedSeries(order_cap, terms))
+        (rho, TruncatedSeries(order_cap,
+                              [Fraction(t, denominator) for t in terms]))
         for rho, terms in sorted(per_type.items())
     )
     return MomentSeries(params=EnsembleParams.for_beta(spec.beta), n=n,

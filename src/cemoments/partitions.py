@@ -60,17 +60,19 @@ def partitions_no_ones_up_to_rank(max_rank):
 
     Includes the empty partition. Finite: parts >= 2 force each part to add
     at least 1 to the rank, so length <= max_rank and size <= 2*max_rank.
-    Ordered by (rank, length, parts) for deterministic iteration.
+    Ordered by (rank, length, parts) for deterministic iteration. Each call
+    returns a new list; the partitions are found once per max_rank.
     """
+    return list(_strata(operator.index(max_rank)))
+
+
+@functools.cache
+def _strata(max_rank):
     if max_rank < 0:
         raise ValueError("max_rank must be >= 0")
-    found = []
-    for total in range(0, 2 * max_rank + 1):
-        for p in partitions_of(total, min_part=2):
-            if rank(p) <= max_rank:
-                found.append(p)
-    found.sort(key=lambda p: (rank(p), len(p), p))
-    return found
+    found = [p for total in range(0, 2 * max_rank + 1)
+             for p in partitions_of(total, min_part=2) if rank(p) <= max_rank]
+    return tuple(sorted(found, key=lambda p: (rank(p), len(p), p)))
 
 
 def z_weight(lam):

@@ -9,9 +9,11 @@ diagram's delta pattern closes the external slots into disjoint index
 cycles, and each cycle contributes a free sum over the block: a factor M.
 The patterns of a coset type share j(d), so index_cycle_table counts them
 by index cycles from the typed matchings of the z-slots, with the ties of
-lam and mu as cycle matchings, and builds no pattern. The result is a
-truncated series in u = 1/(N+1) whose coefficients are exact polynomials
-in M.
+lam and mu as cycle matchings, and builds no pattern. trace_moment walks
+the stratum loop of moments once and contracts each stratum's j values
+with that table, in integers over the loop's common denominator. The
+result is a truncated series in u = 1/(N+1) whose coefficients are exact
+polynomials in M.
 
 The final moment is a class function of (pi, pi'); any representative of
 the cycle type gives the same series (there is a property test for that),
@@ -21,6 +23,7 @@ so the canonical consecutive-block permutation is used.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -74,9 +77,11 @@ class TraceMomentResult:
             return "0 (selection rule: |lambda| != |mu|)"
         pieces = []
         for k in range(self.n, self.cap + 1):
-            poly = self.series.coefficient(k)
-            negative = poly.coefficient(poly.degree) < 0
-            pieces.append((negative, str(-poly if negative else poly),
+            coeffs = self.series.coefficient(k).coeffs
+            negative = bool(coeffs) and coeffs[-1] < 0
+            if negative:
+                coeffs = [-c for c in coeffs]
+            pieces.append((negative, _format_poly(coeffs, "M"),
                            power_of("u", k)))
         return format_terms(pieces)
 
@@ -127,17 +132,19 @@ def index_cycle_table(lam, mu):
     mu's ties back to a matching Y, with type(A, X) = rho and type(X, Y) =
     mu. Its index cycles are those of Y with lam's ties, the matching
     cycle_matching(lam, n). Each pair (X, Y) comes from 2^len(mu) z_mu
-    patterns, so T sums C over the typed matchings Y.
+    patterns, so T sums C over the typed matchings Y, counted first by
+    (type, index cycles).
     """
     n = sum(lam)
     counts = _matching_counts(n)
     ties = cycle_matching(lam, n)
     scale = 2 ** len(mu) * z_weight(mu)
+    ys = Counter((sigma, index_cycle_count(ties, y))
+                 for y, sigma in typed_matchings(n))
     table = defaultdict(Counter)
-    for y, sigma in typed_matchings(n):
-        k = index_cycle_count(ties, y)
+    for (sigma, k), count in ys.items():
         for rho, xs in counts[sigma, mu].items():
-            table[rho][k] += scale * xs
+            table[rho][k] += scale * xs * count
     return table
 
 
@@ -145,8 +152,7 @@ def trace_moment(lam, mu, cap=None, workers=1):
     """Series for < p_lam(B) conj(p_mu(B)) > over the M x M block."""
     lam, mu = normalize_partition(lam), normalize_partition(mu)
     n = sum(lam)
-    if cap is None:
-        cap = max(4, n + 1)
+    cap = max(4, n + 1) if cap is None else operator.index(cap)
     if cap < n:
         raise ValueError(f"cap {cap} is below the leading order u^{n}")
     if sum(mu) != n:
@@ -155,18 +161,17 @@ def trace_moment(lam, mu, cap=None, workers=1):
             lam, mu, cap, TruncatedSeries(cap, [MPolynomial()] * (cap + 1))
         )
     table = index_cycle_table(lam, mu)
+    denominator, strata = weighted_patterns(1, n, cap - n, workers)
+    # per power, index cycles -> numerator over the denominator
     coeffs = [defaultdict(int) for _ in range(cap + 1)]
-    for r, weight, values in weighted_patterns(1, n, cap - n, workers):
-        totals = defaultdict(int)  # index cycles -> sum of integer j(-1)
+    for r, weight, values in strata:
         for rho, j in values:
             for k, count in table[rho].items():
-                totals[k] += j * count
-        for k, total in totals.items():
-            coeffs[n + r][k] += weight * total
+                coeffs[n + r][k] += weight * j * count
     terms = []
     for power, bucket in enumerate(coeffs):
-        top = max(bucket) if bucket else 0
-        poly = MPolynomial(bucket.get(j, 0) for j in range(top + 1))
+        poly = MPolynomial(Fraction(bucket.get(k, 0), denominator)
+                           for k in range(max(bucket, default=-1) + 1))
         # every index cycle takes up at least one of lam's n variable ties,
         # so the M-degree is at most n; with terms starting at u^n that
         # reads deg <= min(k, n)
@@ -180,28 +185,28 @@ def trace_moment(lam, mu, cap=None, workers=1):
     return TraceMomentResult(lam, mu, cap, TruncatedSeries(cap, terms))
 
 
-def _large_m_coefficients(series, n_start):
+def _large_m_coefficients(series):
     """Coefficients after substituting M = xi (1-u)/u.
 
     u^k M^j becomes xi^j u^(k-j) (1-u)^j, never a negative power here
-    because coefficients at u^k have M-degree <= k. Entry m of the result is
-    the u^m coefficient as a dict from xi-power to Fraction; at M = N
-    (xi = 1) it is the sum of the dict's values.
+    because coefficients at u^k have M-degree <= k. Returns (denominator,
+    out): entry m of out is the u^m coefficient as a dict from xi-power to
+    its integer numerator over the denominator; at M = N (xi = 1) it is the
+    sum of the dict's values.
     """
-    cap = series.cap
-    out = [dict() for _ in range(cap + 1)]
-    for k in range(n_start, cap + 1):
-        poly = series.coefficient(k)
-        for j in range(0, poly.degree + 1):
-            c = poly.coefficient(j)
-            if c == 0:
+    denominator = math.lcm(*[c.denominator for poly in series.terms
+                             for c in poly.coeffs])
+    out = [dict() for _ in series.terms]
+    for k, poly in enumerate(series.terms):
+        for j, c in enumerate(poly.coeffs):
+            if not c:
                 continue
+            c = c.numerator * (denominator // c.denominator)
             # expand u^(k-j) (1-u)^j
             for t in range(j + 1):
                 m = k - j + t
-                term = c * comb(j, t) * (-1) ** t
-                out[m][j] = out[m].get(j, Fraction(0)) + term
-    return out
+                out[m][j] = out[m].get(j, 0) + c * comb(j, t) * (-1) ** t
+    return denominator, out
 
 
 @dataclass(frozen=True)
@@ -243,13 +248,14 @@ def regime_asymptotics(lam, mu, regime, cap=None, workers=1):
                 break
     else:
         final_below = max(0, cap + 1 - 2 * n)
-        subbed = _large_m_coefficients(result.series, n)
+        denominator, subbed = _large_m_coefficients(result.series)
         for m in range(final_below):
             # xi-powers are M-powers, at most n (trace_moment's bound)
             coeffs = [subbed[m].get(j, 0) for j in range(n + 1)]
             if regime == "M=N":
                 coeffs = [sum(coeffs)]
             if any(coeffs):
+                coeffs = [Fraction(c, denominator) for c in coeffs]
                 leading = (_format_poly(coeffs, "xi"), m)
                 break
     if leading is None:

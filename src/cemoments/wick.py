@@ -189,13 +189,20 @@ def expand_classes(beta, n, classes, convert=None):
     """Every pattern with its class's value, in sorted pattern order.
 
     classes holds (type, value) pairs; convert, when given, maps each value
-    once per class.
+    once per class. The sorted order is kept once per (beta, n, types).
     """
-    values = {}
-    for rho, value in classes:
-        value = convert(value) if convert else value
-        values.update(dict.fromkeys(class_patterns(beta, n, rho), value))
-    return {p: values[p] for p in sorted(values)}
+    types = tuple([rho for rho, _ in classes])
+    values = [convert(value) if convert else value for _, value in classes]
+    patterns, owners = _pattern_order(beta, n, types)
+    return dict(zip(patterns, map(values.__getitem__, owners)))
+
+
+@functools.cache
+def _pattern_order(beta, n, types):
+    """The class_patterns of types in sorted order, and each one's type."""
+    tagged = sorted((p, i) for i, rho in enumerate(types)
+                    for p in class_patterns(beta, n, rho))
+    return tuple(p for p, _ in tagged), bytes(i for _, i in tagged)
 
 
 def coset_class_size(beta, n, rho):
@@ -361,33 +368,31 @@ def get_diagram_sum(beta, n, lam):
 def get_diagram_sums(beta, n, strata, workers=1):
     """One cached diagram sum per stratum, in the order given.
 
-    Strata missing from the cache are enumerated once each. With more
-    than one worker, the smallest run in process until they have taken
-    POOL_START_S, about the cost of starting a pool; only if more than one
-    is left do those go to one pool of min(workers, jobs, cpus) processes,
-    as whole jobs, largest first. The results are returned in the order
-    asked, so they do not depend on the worker count or on the order in
-    which jobs finish.
+    Strata missing from the cache are enumerated once each; a call with
+    none missing only looks them up, so it reads no clock and starts no
+    pool. With more than one worker, the smallest missing strata run in
+    process until they have taken POOL_START_S, about the cost of starting
+    a pool; only if more than one is left do those go to one pool of
+    min(workers, jobs, cpus) processes, as whole jobs, largest first. The
+    results are returned in the order asked, so they do not depend on the
+    worker count or on the order in which jobs finish.
     """
     strata = [normalize_partition(lam, allow_ones=False) for lam in strata]
-    missing = sorted(
-        dict.fromkeys(
-            lam for lam in strata if (beta, n, lam) not in _diagram_cache
-        ),
-        key=sum, reverse=True,
-    )
-    start = time.perf_counter()
-    while (workers > 1 and missing
-           and time.perf_counter() - start < POOL_START_S):
-        get_diagram_sum(beta, n, missing.pop())
-    workers = min(workers, len(missing), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(lam, pool.submit(get_diagram_sum, beta, n, lam))
-                       for lam in missing]
-            for lam, fut in futures:
-                _diagram_cache[(beta, n, lam)] = fut.result()
+    missing = [lam for lam in dict.fromkeys(strata)
+               if (beta, n, lam) not in _diagram_cache]
+    if workers > 1 and missing:
+        missing.sort(key=sum, reverse=True)
+        start = time.perf_counter()
+        while missing and time.perf_counter() - start < POOL_START_S:
+            get_diagram_sum(beta, n, missing.pop())
+        workers = min(workers, len(missing), os.cpu_count() or 1)
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [(lam, pool.submit(get_diagram_sum, beta, n, lam))
+                           for lam in missing]
+                for lam, fut in futures:
+                    _diagram_cache[(beta, n, lam)] = fut.result()
     return [get_diagram_sum(beta, n, lam) for lam in strata]
 
 

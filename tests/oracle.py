@@ -6,6 +6,10 @@ type off a pattern itself, so the tests can check those listings against
 it. compose, inverse and cycle_type serve the permutation and
 group-integral checks.
 
+The library keeps the sorted order of each set of types' patterns once per
+process; expand_classes here is the earlier walk that rebuilds and sorts
+that order on every call, the reference for wick.expand_classes.
+
 The library's Wick kernel never numbers a slot: it runs on classes of
 paths and chains. trace_ties wires the slot graph slot by slot, and
 slot_enumerate is the earlier slot-number kernel over those ties, so the
@@ -16,6 +20,7 @@ import itertools
 import math
 
 from cemoments.partitions import matching_type
+from cemoments.wick import class_patterns
 
 
 def compose(p, q):
@@ -61,6 +66,19 @@ def coset_type(pattern):
     inv = inverse(pattern)
     return matching_type([s ^ 1 for s in range(len(pattern))],
                          [inv[w ^ 1] for w in pattern])
+
+
+def expand_classes(beta, n, classes, convert=None):
+    """Every pattern with its class's value, in sorted pattern order.
+
+    classes holds (type, value) pairs; convert, when given, maps each value
+    once per class.
+    """
+    values = {}
+    for rho, value in classes:
+        value = convert(value) if convert else value
+        values.update(dict.fromkeys(class_patterns(beta, n, rho), value))
+    return {p: values[p] for p in sorted(values)}
 
 
 def trace_ties(graph):

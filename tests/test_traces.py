@@ -439,8 +439,9 @@ def test_m_degree_above_factor_count_is_rejected(monkeypatch):
     lam = (2,)
     n = sum(lam)
     values = [((1,) * n, 1)]
+    # the stratum loop returns (denominator, strata), weights as numerators
     monkeypatch.setattr(traces, "weighted_patterns",
-                        lambda *args: iter([(1, Fraction(1), values)]))
+                        lambda *args: (1, iter([(1, 1, values)])))
     monkeypatch.setattr(traces, "index_cycle_count", lambda *args: n + 1)
     with pytest.raises(AssertionError):
         trace_moment(lam, lam, n + 1)

@@ -35,6 +35,7 @@ from oracle import (
     compose,
     coset_type,
     cycle_type,
+    expand_classes,
     inverse,
     slot_enumerate,
     trace_ties,
@@ -328,6 +329,26 @@ def test_coset_types_split_every_pattern_into_classes(beta, n):
             == {rho: sorted(ps) for rho, ps in buckets.items()})
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cached_pattern_order_matches_the_sorting_walk(beta, n):
+    types = list(partitions_of(n))
+    subsets = [types] + [[rho] for rho in types]
+    if n <= 3:
+        subsets = [list(sub) for size in range(1, len(types) + 1)
+                   for sub in itertools.combinations(types, size)]
+    for sub in subsets:
+        classes = [(rho, f"value of {rho}") for rho in sub]
+        for convert in (None, str.upper):
+            got = wick.expand_classes(beta, n, classes, convert)
+            want = expand_classes(beta, n, classes, convert)
+            assert list(got.items()) == list(want.items()), (beta, n, sub)
+        # the order holds class_patterns' own tuples, not copies
+        listed = {id(p) for rho in sub
+                  for p in wick.class_patterns(beta, n, rho)}
+        assert {id(p) for p in got} == listed
+
+
 def test_unitary_coset_type_is_the_class_of_row_inverse_times_col():
     n = 3
     for row in itertools.permutations(range(n)):
@@ -564,6 +585,24 @@ def test_cheap_strata_start_no_pool(fake_pool, monkeypatch):
     assert sizes == []
     assert [ds.pattern_map for ds in got] == serial
     assert enumerated == JOBS[::-1]  # smallest first, all in process
+
+
+def test_an_all_hit_call_reads_no_clock_and_starts_no_pool(fake_pool,
+                                                           monkeypatch):
+    sizes = fake_pool
+    clear_diagram_cache()
+    want = get_diagram_sums(1, 1, SIX)
+    enumerated = _clock_of_jobs(monkeypatch, 0.001)
+    reads = []
+    monkeypatch.setattr(wick.time, "perf_counter",
+                        lambda: reads.append("clock") or 0.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: reads.append("cpus") or 4)
+    got = get_diagram_sums(1, 1, SIX, 2)
+    assert all(a is b for a, b in zip(got, want)) and len(got) == len(want)
+    assert (enumerated, sizes, reads) == ([], [], [])
+    # a missing stratum still reads the clock before it is enumerated
+    get_diagram_sums(1, 1, SIX + [(5,)], 2)
+    assert enumerated == [(5,)] and "clock" in reads and sizes == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
