@@ -5,6 +5,8 @@ Every value here is immutable and exact, and is only built, evaluated,
 rendered and JSON-encoded; none of the types has arithmetic. Floats never
 enter; the only numeric types are Python ints and fractions.Fraction. Series
 carry an explicit truncation cap and refuse to report coefficients beyond it.
+format_series is the one series renderer: trace moments and entry moments
+both print through it.
 """
 
 from __future__ import annotations
@@ -72,6 +74,27 @@ def format_terms(pieces):
             out = "-"
         out += body + unit
     return out or "0"
+
+
+def format_series(series, start):
+    """Render u^start..u^cap like '(1/2)u - u^3 + 0u^4' or '4Mu^2 - 2Mu^3'.
+
+    A Fraction renders as nothing for +-1 and parenthesized when it is not
+    whole; an MPolynomial renders bare, signed by its leading coefficient.
+    """
+    pieces = []
+    for power in range(start, series.cap + 1):
+        c = series.coefficient(power)
+        if isinstance(c, MPolynomial):
+            negative = bool(c.coeffs) and c.coeffs[-1] < 0
+            body = _format_poly([-x for x in c.coeffs] if negative
+                                else c.coeffs, "M")
+        else:
+            negative, mag = c < 0, abs(c)
+            body = ("" if mag == 1 else str(mag) if mag.denominator == 1
+                    else f"({mag})")
+        pieces.append((negative, body, power_of("u", power)))
+    return format_terms(pieces)
 
 
 @dataclass(frozen=True)

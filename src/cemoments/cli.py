@@ -2,10 +2,12 @@
 
 Four subcommands: jpoly (cycle polynomials per delta pattern), moment
 (entry-moment series), trace (block trace-moment series), verify (built-in
-check suites, including the Monte Carlo cross-check). Results go to stdout,
-diagnostics to stderr; --json switches to machine output. Worker count
-comes from --workers or the CEMOMENTS_WORKERS environment variable. Input
-the engine rejects with a ValueError prints "error: ..." and exits 2.
+check suites, including the Monte Carlo cross-check). jpoly and moment
+render each coset class once and print one line when all agree; only
+otherwise do they list the delta patterns, one line each. Results go to
+stdout, diagnostics to stderr; --json switches to machine output. Worker
+count comes from --workers or the CEMOMENTS_WORKERS environment variable.
+Input the engine rejects with a ValueError prints "error: ..." and exits 2.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import os
 import sys
 
-from .algebra import format_terms, power_of
+from .algebra import format_series as format_pattern_series
 from .moments import moment_series
 from .partitions import normalize_partition
 from .traces import trace_moment
@@ -51,28 +53,14 @@ def positive_int(text):
     return value
 
 
-def format_pattern_series(series, n):
-    """Plain rendering like 'u + 0u^2 + 0u^3 + 0u^4', leading order first."""
-    pieces = []
-    for power in range(n, series.cap + 1):
-        c = series.coefficient(power)
-        mag = abs(c)
-        if mag == 1:
-            body = ""
-        elif mag.denominator != 1:
-            body = f"({mag})"
-        else:
-            body = str(mag)
-        pieces.append((c < 0, body, power_of("u", power)))
-    return format_terms(pieces)
-
-
-def _grouped(values):
-    """Collapse a pattern->text map when every pattern agrees."""
-    texts = set(values.values())
-    if len(texts) == 1:
-        return [texts.pop()]
-    return [f"pattern {list(p)}: {txt}" for p, txt in values.items()]
+def _print_classes(beta, n, classes, render):
+    """One line when every class renders alike, else one per pattern."""
+    texts = [(rho, render(value)) for rho, value in classes]
+    if len({text for _, text in texts}) == 1:
+        print(texts[0][1])
+        return
+    for p, text in expand_classes(beta, n, texts).items():
+        print(f"pattern {list(p)}: {text}")
 
 
 def cmd_jpoly(args):
@@ -80,9 +68,7 @@ def cmd_jpoly(args):
     if args.json:
         print(json.dumps(dsum.to_json()))
         return 0
-    for line in _grouped(expand_classes(args.beta, args.n, dsum.classes,
-                                        str)):
-        print(line)
+    _print_classes(args.beta, args.n, dsum.classes, str)
     return 0
 
 
@@ -94,17 +80,11 @@ def cmd_moment(args):
     if args.json:
         print(json.dumps(ms.to_json(N=args.N)))
         return 0
-    if args.N is not None:
-        values = ms.evaluate_at(args.N)
-        for line in _grouped({p: str(v) for p, v in values.items()}):
-            print(line)
-        return 0
+    u = None if args.N is None else ms.params.u_of_N(args.N)
     tail = f"; u=1/({ms.params.omega_text})"
-    rendered = expand_classes(
-        args.beta, args.n, ms.classes,
-        lambda s: format_pattern_series(s, args.n) + tail)
-    for line in _grouped(rendered):
-        print(line)
+    _print_classes(args.beta, args.n, ms.classes,
+                   lambda s: format_pattern_series(s, args.n) + tail
+                   if u is None else str(s.eval_at(u)))
     return 0
 
 

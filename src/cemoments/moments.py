@@ -118,10 +118,11 @@ class MomentSeries:
         return self._expand(lambda s: s.eval_at(u))
 
     def to_json(self, N=None):
-        encoded = self._expand(TruncatedSeries.to_json)
-        values = {} if N is None else self.evaluate_at(N)
+        u = None if N is None else self.params.u_of_N(N)
+        encoded = self._expand(lambda s: (
+            s.to_json(), None if u is None else str(s.eval_at(u))))
         out = []
-        for p, series in encoded.items():
+        for p, (series, value) in encoded.items():
             entry = {
                 "ensemble": self.params.name,
                 "N": "symbolic" if N is None else N,
@@ -129,7 +130,7 @@ class MomentSeries:
                 "series": series,
             }
             if N is not None:
-                entry["value"] = str(values[p])
+                entry["value"] = value
             out.append(entry)
         return out
 

@@ -34,6 +34,7 @@ from .algebra import (
     MPolynomial,
     TruncatedSeries,
     _format_poly,
+    format_series,
     format_terms,
     power_of,
 )
@@ -75,15 +76,7 @@ class TraceMomentResult:
     def format(self):
         if self.selection_rule_zero:
             return "0 (selection rule: |lambda| != |mu|)"
-        pieces = []
-        for k in range(self.n, self.cap + 1):
-            coeffs = self.series.coefficient(k).coeffs
-            negative = bool(coeffs) and coeffs[-1] < 0
-            if negative:
-                coeffs = [-c for c in coeffs]
-            pieces.append((negative, _format_poly(coeffs, "M"),
-                           power_of("u", k)))
-        return format_terms(pieces)
+        return format_series(self.series, self.n)
 
     def to_json(self):
         data = {

@@ -178,9 +178,10 @@ class DiagramSum:
         return {
             "edges": self.edge_count,
             "patterns": [
-                {"match": [[s, w] for s, w in enumerate(p)],
-                 "poly": poly.to_json()}
-                for p, poly in self.pattern_map.items()
+                {"match": [[s, w] for s, w in enumerate(p)], "poly": poly}
+                for p, poly in expand_classes(
+                    self.beta, self.n, self.classes,
+                    DimPolynomial.to_json).items()
             ],
         }
 

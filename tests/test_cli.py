@@ -187,6 +187,21 @@ def test_moment_json_symbolic_has_no_value(capsys):
         assert "value" not in entry
 
 
+def test_uniform_listing_expands_no_pattern(capsys, monkeypatch):
+    # each coset class renders once; patterns are listed only when the
+    # classes disagree
+    def refuse(*args, **kwargs):
+        raise AssertionError("a uniform listing expanded its patterns")
+
+    monkeypatch.setattr(cli, "expand_classes", refuse)
+    assert run_cli(capsys, "jpoly", "--beta", "1", "--n", "6",
+                   "--lambda", "") == (0, "1\n", "")
+    assert run_cli(capsys, "moment", "--beta", "1", "--n", "1",
+                   "--cap", "2") == (0, "u + 0u^2; u=1/(N+1)\n", "")
+    assert run_cli(capsys, "moment", "--beta", "1", "--n", "1",
+                   "--N", "3") == (0, "1/4\n", "")
+
+
 def test_stratum_of_more_than_127_factors_exits_2_with_message(capsys):
     code, out, err = run_cli(capsys, "jpoly", "--lambda", "200")
     assert code == 2
@@ -257,6 +272,7 @@ def test_trace_block_larger_than_matrix(capsys):
 @pytest.mark.parametrize("argv", [
     ["jpoly", "--lambda", "2", "--n", "0"],
     ["moment", "--N", "0"],
+    ["moment", "--beta", "2", "--n", "2", "--N", "0"],  # per-pattern listing
     ["trace", "--lambda", "2", "--M", "-3", "--N", "-1"],
     ["trace", "--lambda", "2", "--M", "-1", "--N", "2"],
 ])

@@ -18,7 +18,7 @@ import pytest
 
 from fractions import Fraction
 
-from cemoments.algebra import MPolynomial, TruncatedSeries
+from cemoments.algebra import MPolynomial, TruncatedSeries, format_series
 from cemoments.cli import format_pattern_series, main
 from cemoments.traces import (
     REGIMES,
@@ -121,6 +121,7 @@ def test_regime_leading_matches_golden(lam, regime, golden):
 
 
 def test_pattern_series_renders_rational_scalars():
+    assert format_pattern_series is format_series  # one series renderer
     series = TruncatedSeries(
         4, [0, Fraction(1, 2), Fraction(-3, 2), -1, Fraction(0)]
     )
