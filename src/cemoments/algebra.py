@@ -6,15 +6,69 @@ rendered and JSON-encoded; none of the types has arithmetic. Floats never
 enter; the only numeric types are Python ints and fractions.Fraction. Series
 carry an explicit truncation cap and refuse to report coefficients beyond it.
 format_series is the one series renderer: trace moments and entry moments
-both print through it.
+both print through it. Record is the frozen value base of every library
+value type, here and in the other modules.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+
+
+class Record:
+    """Frozen value whose fields are the names annotated in its class body.
+
+    __init__ takes the fields by position or keyword, falls back on
+    class-level defaults, then calls __post_init__.
+    Equality, hashing and repr use the field tuple; a class's own __init__,
+    __eq__ or __hash__ wins. No __slots__: pickle and copy fill __dict__.
+    Building the classes imports nothing, so a cold start stays light.
+    """
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__annotations__)
+        if names:  # a subclass with no annotations keeps its parent's fields
+            get = operator.attrgetter(*names)
+            cls._fields = names  # _values gives a tuple, even of one field
+            cls._values = staticmethod(get if len(names) > 1
+                                       else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls._fields
+        if len(args) < len(names):
+            try:
+                args += tuple([kwargs.pop(k) if k in kwargs else vars(cls)[k]
+                               for k in names[len(args):]])
+            except KeyError as missing:
+                raise TypeError(f"{cls.__name__}() needs {missing}") from None
+        if kwargs or len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes only {names}")
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Validate the fields; a class may override it."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = type(self)._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(type(self)._values(self))
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, type(self)._values(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def _strip_trailing_zeros(coeffs):
@@ -97,8 +151,7 @@ def format_series(series, start):
     return format_terms(pieces)
 
 
-@dataclass(frozen=True)
-class DimPolynomial:
+class DimPolynomial(Record):
     """Integer-coefficient polynomial in the formal dimension d.
 
     coeffs[k] is the coefficient of d^k; the tuple carries no trailing zeros,
@@ -142,8 +195,7 @@ class DimPolynomial:
         return [str(c) for c in self.coeffs]
 
 
-@dataclass(frozen=True)
-class MPolynomial:
+class MPolynomial(Record):
     """Polynomial in the block size M with exact rational coefficients."""
 
     coeffs: tuple
@@ -189,8 +241,7 @@ class MPolynomial:
         return [str(c) for c in self.coeffs]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Power series in u known only through u^cap.
 
     Coefficients are Fractions (entry moments) or MPolynomials (trace

@@ -24,10 +24,15 @@ from .partitions import normalize_partition
 from .traces import trace_moment
 from .wick import (
     ExternalSpec,
+    coset_class_size,
     expand_classes,
     get_diagram_sum,
     get_diagram_sums,
 )
+
+# delta patterns one listing may expand; jpoly --beta 1 --n 6 --lambda 2
+# lists 1,428,480 (n = 7 would list 27,740,160)
+MAX_LISTED_PATTERNS = 2_000_000
 
 
 def parse_partition(text, allow_ones=True):
@@ -53,12 +58,21 @@ def positive_int(text):
     return value
 
 
+def _check_listing(beta, n, classes):
+    """Refuse, before expanding it, a listing of too many patterns."""
+    count = sum(coset_class_size(beta, n, rho) for rho, _ in classes)
+    if count > MAX_LISTED_PATTERNS:
+        raise ValueError(f"the listing would hold {count:,} delta patterns, "
+                         f"more than {MAX_LISTED_PATTERNS:,}")
+
+
 def _print_classes(beta, n, classes, render):
     """One line when every class renders alike, else one per pattern."""
     texts = [(rho, render(value)) for rho, value in classes]
     if len({text for _, text in texts}) == 1:
         print(texts[0][1])
         return
+    _check_listing(beta, n, classes)
     for p, text in expand_classes(beta, n, texts).items():
         print(f"pattern {list(p)}: {text}")
 
@@ -66,6 +80,7 @@ def _print_classes(beta, n, classes, render):
 def cmd_jpoly(args):
     dsum = get_diagram_sum(args.beta, args.n, args.lam)
     if args.json:
+        _check_listing(args.beta, args.n, dsum.classes)
         print(json.dumps(dsum.to_json()))
         return 0
     _print_classes(args.beta, args.n, dsum.classes, str)
@@ -78,6 +93,7 @@ def cmd_moment(args):
         ExternalSpec(beta=args.beta, n=args.n), cap, workers=args.workers
     )
     if args.json:
+        _check_listing(args.beta, args.n, ms.classes)
         print(json.dumps(ms.to_json(N=args.N)))
         return 0
     u = None if args.N is None else ms.params.u_of_N(args.N)

@@ -27,16 +27,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import TruncatedSeries
+from .algebra import Record, TruncatedSeries
 from .partitions import partitions_no_ones_up_to_rank, rank, z_weight
 from .wick import expand_classes, get_diagram_sums
 
 
-@dataclass(frozen=True)
-class EnsembleParams:
+class EnsembleParams(Record):
     beta: int
     name: str
     d_value: int
@@ -96,8 +94,7 @@ def weighted_patterns(beta, n, max_rank, workers=1):
         for lam, w, ds in zip(strata, weights, sums))
 
 
-@dataclass(frozen=True)
-class MomentSeries:
+class MomentSeries(Record):
     """Entry-moment series; classes holds (type, series) pairs."""
 
     params: EnsembleParams

@@ -37,10 +37,10 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import Record
 from .moments import EnsembleParams
 from .partitions import normalize_partition
 
@@ -52,8 +52,7 @@ GENERATOR_NAME = "PCG64"
 _CHUNK_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(Record):
     ensemble: str
     N: int
     sample_count: int
@@ -122,8 +121,7 @@ def sample_coe(N, rng, size=None, corner=None):
                          lambda q: np.swapaxes(q, -1, -2) @ q)
 
 
-@dataclass(frozen=True)
-class EntryMoment:
+class EntryMoment(Record):
     """Product of matrix entries: factors are (row, col, conjugate)."""
 
     factors: tuple
@@ -147,8 +145,7 @@ class EntryMoment:
         return out
 
 
-@dataclass(frozen=True)
-class BlockTraceMoment:
+class BlockTraceMoment(Record):
     """p_lam(B) * conj(p_mu(B)) over the upper-left M x M block."""
 
     lam: tuple
@@ -184,8 +181,7 @@ class BlockTraceMoment:
         return out
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(Record):
     mean: complex
     std_error: float
     sample_count: int

@@ -26,12 +26,12 @@ import functools
 import math
 import operator
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .algebra import (
     MPolynomial,
+    Record,
     TruncatedSeries,
     _format_poly,
     format_series,
@@ -49,8 +49,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class TraceMomentResult:
+class TraceMomentResult(Record):
     lam: tuple
     mu: tuple
     cap: int
@@ -202,8 +201,7 @@ def _large_m_coefficients(series):
     return denominator, out
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(Record):
     regime: str
     leading: str
     indeterminate: bool

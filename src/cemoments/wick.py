@@ -94,9 +94,8 @@ import math
 import operator
 import os
 import time
-from dataclasses import dataclass
 
-from .algebra import DimPolynomial
+from .algebra import DimPolynomial, Record
 from .partitions import (
     matching_type,
     normalize_partition,
@@ -108,8 +107,7 @@ _MAX_FACTORS = 127  # factors per side in one stratum
 POOL_START_S = 0.05  # wall time to import, fork and shut down a 2-process pool
 
 
-@dataclass(frozen=True)
-class ExternalSpec:
+class ExternalSpec(Record):
     """External factor layout for a moment integrand.
 
     beta selects the covariance: 2 pairs row-row/col-col only; 1 adds the
@@ -130,8 +128,7 @@ class ExternalSpec:
             raise ValueError("need at least one external factor")
 
 
-@dataclass(frozen=True)
-class SlotGraph:
+class SlotGraph(Record):
     """Integrand structure: n external factors on each side, then one trace
     ring per part of vertex_type, factor_count factors on each side in all.
     """
@@ -153,8 +150,7 @@ def build_slot_graph(spec, lam):
                      factor_count=total)
 
 
-@dataclass(frozen=True)
-class DiagramSum:
+class DiagramSum(Record):
     """Accumulated enumeration result, one entry per coset type.
 
     classes holds (type, poly) pairs in type order: poly is the integer

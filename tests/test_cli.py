@@ -1,18 +1,20 @@
 """End-to-end command-line checks via main(argv) plus one subprocess smoke."""
 
 import argparse
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+import time
 from types import SimpleNamespace
 
 import pytest
 
-from cemoments import cli, montecarlo
+from cemoments import cli, montecarlo, wick
 from cemoments.algebra import DimPolynomial, TruncatedSeries
 from cemoments.cli import build_parser, main, parse_partition
+from cemoments.wick import DiagramSum
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +202,41 @@ def test_uniform_listing_expands_no_pattern(capsys, monkeypatch):
                    "--cap", "2") == (0, "u + 0u^2; u=1/(N+1)\n", "")
     assert run_cli(capsys, "moment", "--beta", "1", "--n", "1",
                    "--N", "3") == (0, "1/4\n", "")
+
+
+@pytest.mark.parametrize("argv, count", [
+    ("jpoly --beta 1 --n 8 --lambda 2", "588,349,440"),
+    ("jpoly --beta 1 --n 8 --lambda 2 --json", "588,349,440"),
+    ("moment --beta 1 --n 7 --cap 8", "27,740,160"),
+    ("moment --beta 1 --n 7 --cap 8 --json", "27,740,160"),
+])
+def test_oversized_listing_exits_2_before_expanding(capsys, monkeypatch,
+                                                    argv, count):
+    # the types (1^n) and (2, 1^(n-2)) disagree, so every pattern of both
+    # would be listed; the size check refuses before any is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized listing expanded its patterns")
+
+    monkeypatch.setattr(cli, "expand_classes", refuse)
+    monkeypatch.setattr(wick, "_pattern_order", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: the listing would hold {count} delta patterns, "
+                   f"more than 2,000,000\n")
+
+
+@pytest.mark.parametrize("argv, lines, sha", [
+    ("jpoly --beta 1 --n 4 --lambda 2", 4992,
+     "89cfc61867e87eb6a2a438b38cfb4b51d9c0905049d7a1e8ea3e051ec0631967"),
+    ("jpoly --beta 1 --n 4 --lambda 2 --json", 1,
+     "c2569e8f0ec81387b4bd6a296506597caa3ae5f19accdf70372d44bdb779d7d2"),
+])
+def test_listing_below_the_limit_is_unchanged(capsys, argv, lines, sha):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err, out.count("\n")) == (0, "", lines)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_stratum_of_more_than_127_factors_exits_2_with_message(capsys):
@@ -421,7 +458,8 @@ def _break_catalan(monkeypatch):
         first, *rest = real(beta, n, strata, workers)
         classes = tuple((rho, DimPolynomial(2 * c for c in poly.coeffs))
                         for rho, poly in first.classes)
-        return [replace(first, classes=classes)] + rest
+        return [DiagramSum(first.beta, first.n, first.vertex_type,
+                           first.edge_count, classes)] + rest
 
     monkeypatch.setattr(cli, "get_diagram_sums", doubled_first)
 

@@ -1,8 +1,10 @@
 """Symbolic commands load only the symbolic engine.
 
 numpy serves the Monte Carlo sampler alone, and a process pool is started
-only for more than one worker. Each check runs in a fresh interpreter, so
-no module loaded by another test can hide an import.
+only for more than one worker. The value types build on algebra.Record,
+so dataclasses and the inspect module it imports stay off the cold path.
+Each check runs in a fresh interpreter, so no module loaded by another
+test can hide an import.
 """
 
 import json
@@ -17,7 +19,8 @@ import cemoments
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_outputs.json").read_text())["cli"]
-HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process")
+HEAVY = ("numpy", "multiprocessing", "concurrent.futures.process",
+         "dataclasses", "inspect")
 COMMANDS = [
     "trace --lambda 2",
     "trace --lambda 2 --M 3 --N 8 --json",
