@@ -7,7 +7,8 @@ enter; the only numeric types are Python ints and fractions.Fraction. Series
 carry an explicit truncation cap and refuse to report coefficients beyond it.
 format_series is the one series renderer: trace moments and entry moments
 both print through it. Record is the frozen value base of every library
-value type, here and in the other modules.
+value type, here and in the other modules; the two polynomial types share
+the members of _Polynomial.
 """
 
 from __future__ import annotations
@@ -151,19 +152,15 @@ def format_series(series, start):
     return format_terms(pieces)
 
 
-class DimPolynomial(Record):
-    """Integer-coefficient polynomial in the formal dimension d.
+class _Polynomial(Record):
+    """Members shared by the two polynomial types.
 
-    coeffs[k] is the coefficient of d^k; the tuple carries no trailing zeros,
-    so the zero polynomial is the empty tuple.
+    coeffs[k] is the coefficient of x^k; the tuple carries no trailing
+    zeros, so the zero polynomial is the empty tuple. A subclass keeps its
+    own __init__, eval_at and __str__, and its own zero coefficient.
     """
 
     coeffs: tuple
-
-    def __init__(self, coeffs=()):
-        # index(), not int(): 1.5 or "3" is an error, not a silent int
-        cleaned = _strip_trailing_zeros(operator.index(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", cleaned)
 
     @property
     def degree(self):
@@ -172,14 +169,28 @@ class DimPolynomial(Record):
     def coefficient(self, power):
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
-        return 0
+        return self._zero
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def to_json(self):
+        return [str(c) for c in self.coeffs]
+
+
+class DimPolynomial(_Polynomial):
+    """Integer-coefficient polynomial in the formal dimension d."""
+
+    _zero = 0
+
+    def __init__(self, coeffs=()):
+        # index(), not int(): 1.5 or "3" is an error, not a silent int
+        cleaned = _strip_trailing_zeros(operator.index(c) for c in coeffs)
+        object.__setattr__(self, "coeffs", cleaned)
 
     @property
     def leading_coefficient(self):
         return self.coeffs[-1] if self.coeffs else 0
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def eval_at(self, x):
         """Exact Horner evaluation; an integer point gives an int."""
@@ -191,31 +202,17 @@ class DimPolynomial(Record):
     def __str__(self):
         return _format_poly(self.coeffs, "d")
 
-    def to_json(self):
-        return [str(c) for c in self.coeffs]
 
-
-class MPolynomial(Record):
+class MPolynomial(_Polynomial):
     """Polynomial in the block size M with exact rational coefficients."""
 
-    coeffs: tuple
+    _zero = Fraction(0)
 
     def __init__(self, coeffs=()):
         cleaned = _strip_trailing_zeros(
-            c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+            c if isinstance(c, Fraction) else Fraction(operator.index(c))
+            for c in coeffs)
         object.__setattr__(self, "coeffs", cleaned)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coefficient(self, power):
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -237,9 +234,6 @@ class MPolynomial(Record):
         # Rational coefficients render with an explicit slash, e.g. 1/2M^2.
         return _format_poly(self.coeffs, "M")
 
-    def to_json(self):
-        return [str(c) for c in self.coeffs]
-
 
 class TruncatedSeries(Record):
     """Power series in u known only through u^cap.
@@ -258,8 +252,8 @@ class TruncatedSeries(Record):
         cap = operator.index(cap)
         if cap < 0:
             raise ValueError("truncation cap must be >= 0")
-        terms = [t if isinstance(t, (MPolynomial, Fraction)) else Fraction(t)
-                 for t in terms]
+        terms = [t if isinstance(t, (MPolynomial, Fraction))
+                 else Fraction(operator.index(t)) for t in terms]
         if len(terms) > cap + 1:
             raise ValueError("more terms than the cap allows")
         terms += [Fraction(0)] * (cap + 1 - len(terms))

@@ -217,8 +217,7 @@ def _verify_mc_coe(args, emit, inputs, ms):
         cfg, observables.values(), workers=args.workers)
     for name, (symbolic, allowance, m_used), est in zip(
             observables, targets, estimates):
-        verdict = montecarlo.compare(symbolic, est, sigma_tol=4.0,
-                                     trunc_bound=allowance)
+        verdict = montecarlo.compare(symbolic, est, trunc_bound=allowance)
         emit({"observable": name, "N": N, "M": m_used,
               "symbolic": float(symbolic),
               "mean": [est.mean.real, est.mean.imag],

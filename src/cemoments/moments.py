@@ -15,11 +15,12 @@ substituted after the whole polynomial is assembled; substituting earlier
 would silently break the cancellations between strata of equal rank.
 
 Since j(d) is one polynomial per coset type, the stratum loop evaluates it
-once per (stratum, type), and a moment series holds one series per type.
-Its patterns are listed only by the outputs that name them. The loop gives
-each stratum weight as an integer numerator over one common denominator, so
-its consumers sum integers and build one Fraction per output coefficient.
-The strata and their weights are computed once per process.
+once per (stratum, type) and sums the strata into one row per type: the
+type's series, as integer numerators over one common denominator. A moment
+series wraps each row in a series; trace_moment contracts the rows with its
+index-cycle table. Neither walks the strata, and each builds one Fraction
+per output coefficient. Patterns are listed only by the outputs that name
+them. The strata and their weights are computed once per process.
 """
 
 from __future__ import annotations
@@ -73,25 +74,30 @@ def stratum_coefficient(beta, lam):
     return _ENSEMBLES[beta].vertex_weight ** len(lam) / z_weight(lam)
 
 
-def weighted_patterns(beta, n, max_rank, workers=1):
-    """Walk every vertex stratum lam with rank(lam) <= max_rank.
+def weighted_patterns(beta, n, cap, workers=1):
+    """Sum every vertex stratum lam with n + rank(lam) <= cap, per type.
 
-    Returns (denominator, strata): the common denominator of the stratum
-    coefficients, and an iterator with one (rank(lam), weight, values) per
-    stratum, weight the integer stratum_coefficient(beta, lam) times the
-    denominator. values lazily gives (type, j) per coset type, with the
-    integer j(d) shared by all the type's delta patterns. This is the one
-    stratum loop: moment_series and trace_moment use it.
+    Returns (denominator, rows): the common denominator of the stratum
+    coefficients, and rows[rho], coset type rho's integer numerators for
+    u^0..u^cap over it. Each stratum adds its weight, the integer
+    stratum_coefficient(beta, lam) times the denominator, times the
+    integer j(d) shared by all the type's delta patterns, at u^(n +
+    rank(lam)). Every type that occurs has a row, even an all-zero one.
+    This is the one stratum loop: moment_series and trace_moment use it.
     """
     d = _ENSEMBLES[beta].d_value
-    strata = partitions_no_ones_up_to_rank(max_rank)
+    strata = partitions_no_ones_up_to_rank(cap - n)
     weights = [stratum_coefficient(beta, lam) for lam in strata]
     denominator = math.lcm(*[w.denominator for w in weights])
-    sums = get_diagram_sums(beta, n, strata, workers)
-    return denominator, (
-        (rank(lam), w.numerator * (denominator // w.denominator),
-         ((rho, poly.eval_at(d)) for rho, poly in ds.classes))
-        for lam, w, ds in zip(strata, weights, sums))
+    rows = {}
+    for lam, w, ds in zip(strata, weights,
+                          get_diagram_sums(beta, n, strata, workers)):
+        power = n + rank(lam)
+        weight = w.numerator * (denominator // w.denominator)
+        for rho, poly in ds.classes:
+            row = rows.setdefault(rho, [0] * (cap + 1))
+            row[power] += weight * poly.eval_at(d)
+    return denominator, rows
 
 
 class MomentSeries(Record):
@@ -139,18 +145,11 @@ def moment_series(spec, order_cap, workers=1):
         raise ValueError(
             f"cap {order_cap} is below the leading order u^{n}"
         )
-    denominator, strata = weighted_patterns(spec.beta, n, order_cap - n,
-                                            workers)
-    per_type = {}  # coset type -> series numerators over the denominator
-    for r, weight, values in strata:
-        for rho, j in values:
-            terms = per_type.setdefault(rho, [0] * (order_cap + 1))
-            terms[n + r] += weight * j
+    denominator, rows = weighted_patterns(spec.beta, n, order_cap, workers)
     classes = tuple(
         (rho, TruncatedSeries(order_cap,
-                              [Fraction(t, denominator) for t in terms]))
-        for rho, terms in sorted(per_type.items())
+                              [Fraction(t, denominator) for t in row]))
+        for rho, row in sorted(rows.items())
     )
     return MomentSeries(params=EnsembleParams.for_beta(spec.beta), n=n,
                         cap=order_cap, classes=classes)
-

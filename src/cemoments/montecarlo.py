@@ -45,6 +45,7 @@ from .moments import EnsembleParams
 from .partitions import normalize_partition
 
 GENERATOR_NAME = "PCG64"
+SIGMA_TOL = 4.0  # standard errors that compare() allows a pass
 # Ginibre bytes per QR chunk: each numpy call's operands stay in cache,
 # and a batch holds its draw plus its corners, not several draw-sized
 # temporaries. Every size from 2**15 to 2**21 draws the same bits; 2**18
@@ -255,12 +256,12 @@ def estimate_moment(cfg, observables, workers=1):
     return [_combine(cfg, sizes, means) for means in zip(*batches)]
 
 
-def compare(symbolic, estimate, sigma_tol=4.0, trunc_bound=0.0):
-    """The verdict: "pass" iff |mean - symbolic| <= sigma_tol * stderr +
+def compare(symbolic, estimate, trunc_bound=0.0):
+    """The verdict: "pass" iff |mean - symbolic| <= SIGMA_TOL * stderr +
     trunc_bound, else "fail".
     """
     gap = abs(estimate.mean - float(symbolic))
-    ok = gap <= sigma_tol * estimate.std_error + trunc_bound
+    ok = gap <= SIGMA_TOL * estimate.std_error + trunc_bound
     return "pass" if ok else "fail"
 
 

@@ -9,11 +9,11 @@ diagram's delta pattern closes the external slots into disjoint index
 cycles, and each cycle contributes a free sum over the block: a factor M.
 The patterns of a coset type share j(d), so index_cycle_table counts them
 by index cycles from the typed matchings of the z-slots, with the ties of
-lam and mu as cycle matchings, and builds no pattern. trace_moment walks
-the stratum loop of moments once and contracts each stratum's j values
-with that table, in integers over the loop's common denominator. The
-result is a truncated series in u = 1/(N+1) whose coefficients are exact
-polynomials in M.
+lam and mu as cycle matchings, and builds no pattern. trace_moment takes
+the per-type rows of the stratum loop in moments, which are the entry
+series of each coset type, and contracts them with that table, in integers
+over the loop's common denominator. The result is a truncated series in
+u = 1/(N+1) whose coefficients are exact polynomials in M.
 
 The final moment is a class function of (pi, pi'); any representative of
 the cycle type gives the same series (there is a property test for that),
@@ -153,13 +153,13 @@ def trace_moment(lam, mu, cap=None, workers=1):
             lam, mu, cap, TruncatedSeries(cap, [MPolynomial()] * (cap + 1))
         )
     table = index_cycle_table(lam, mu)
-    denominator, strata = weighted_patterns(1, n, cap - n, workers)
-    # per power, index cycles -> numerator over the denominator
+    denominator, rows = weighted_patterns(1, n, cap, workers)
+    # per power (rows are zero below u^n), index cycles -> numerator
     coeffs = [defaultdict(int) for _ in range(cap + 1)]
-    for r, weight, values in strata:
-        for rho, j in values:
-            for k, count in table[rho].items():
-                coeffs[n + r][k] += weight * j * count
+    for rho, row in rows.items():
+        for k, count in table[rho].items():
+            for power in range(n, cap + 1):
+                coeffs[power][k] += row[power] * count
     terms = []
     for power, bucket in enumerate(coeffs):
         poly = MPolynomial(Fraction(bucket.get(k, 0), denominator)

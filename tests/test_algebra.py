@@ -30,11 +30,13 @@ def test_dim_poly_strips_trailing_zeros_and_is_canonical():
     assert DimPolynomial((3,))
 
 
-@pytest.mark.parametrize("coeffs", [(1.5, 2.9), ("3",)])
+@pytest.mark.parametrize("coeffs", [(1.5, 2.9), ("3",), (0.1,), ("1/2",)])
 def test_dim_poly_rejects_non_integer_coefficients(coeffs):
-    # int() would truncate 1.5 and parse "3"; only true integers are taken
-    with pytest.raises(TypeError):
-        DimPolynomial(coeffs)
+    # int() would truncate 1.5 and parse "3", and Fraction() would take 0.1
+    # and "1/2"; only true integers (and Fractions, in M) are taken
+    for poly in (DimPolynomial, MPolynomial):
+        with pytest.raises(TypeError):
+            poly(coeffs)
 
 
 def test_dim_poly_str_descending():
@@ -63,7 +65,10 @@ def test_dim_poly_degree_and_leading():
     assert p.degree == 3
     assert p.leading_coefficient == 2
     assert p.coefficient(1) == 10
-    assert p.coefficient(17) == 0
+    # past the degree, and below 0, the zero is an int
+    for power in (17, -1):
+        assert p.coefficient(power) == 0
+        assert type(p.coefficient(power)) is int
     assert DimPolynomial().leading_coefficient == 0
 
 
@@ -108,7 +113,13 @@ def test_m_poly_eval_and_terms():
     assert p.eval_at(3) == 48
     assert p.degree == 2
     assert p.coefficient(0) == 0
-    assert p.coefficient(5) == 0
+    # past the degree, and below 0, the zero is a Fraction
+    for power in (5, -1):
+        assert p.coefficient(power) == 0
+        assert type(p.coefficient(power)) is Fraction
+    # a Fraction coefficient is kept as given, not rebuilt
+    half = Fraction(1, 2)
+    assert MPolynomial((half, 3)).coeffs[0] is half
 
 
 @given(st.lists(st.fractions(max_denominator=12), max_size=5))
@@ -128,6 +139,10 @@ def test_series_construction_pads_and_validates():
     for cap in (2.7, "3"):
         with pytest.raises(TypeError):
             TruncatedSeries(cap, [0, 1])
+    # Fraction() would take 0.1 as 3602879701896397/36028797018963968
+    for term in (0.1, "1/2"):
+        with pytest.raises(TypeError):
+            TruncatedSeries(1, [term])
 
 
 def test_series_coefficient_beyond_cap_raises():

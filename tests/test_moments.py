@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from cemoments.algebra import TruncatedSeries
+from cemoments import moments
+from cemoments.algebra import DimPolynomial, TruncatedSeries
 from cemoments.moments import (
     EnsembleParams,
     moment_series,
     stratum_coefficient,
+    weighted_patterns,
 )
 from cemoments.partitions import partitions_no_ones_up_to_rank, rank, z_weight
-from cemoments.wick import ExternalSpec, get_diagram_sum
+from cemoments.wick import DiagramSum, ExternalSpec, get_diagram_sum
 
 U = TruncatedSeries  # local shorthand for expected values
 
@@ -158,3 +160,28 @@ def test_cap_below_leading_order_rejected():
     with pytest.raises(ValueError):
         moment_series(ExternalSpec(beta=1, n=2), 1)
 
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stratum_rows_are_the_series_of_each_type(beta, n):
+    # moment_series only divides the stratum loop's rows by its denominator
+    for cap in range(n, n + 3):
+        denominator, rows = weighted_patterns(beta, n, cap)
+        classes = dict(moment_series(ExternalSpec(beta, n), cap).classes)
+        assert rows.keys() == classes.keys()
+        for rho, row in rows.items():
+            assert all(type(t) is int for t in row)
+            assert [Fraction(t, denominator) for t in row] == list(
+                classes[rho].terms)
+
+
+def test_stratum_rows_keep_a_type_whose_row_is_zero(monkeypatch):
+    # j(d) = 1 + d vanishes at the COE point d = -1 in every stratum
+    def diagram_sums(beta, n, strata, workers=1):
+        return [DiagramSum(beta, n, lam, 0, (((1,), DimPolynomial((1, 1))),))
+                for lam in strata]
+
+    monkeypatch.setattr(moments, "get_diagram_sums", diagram_sums)
+    assert weighted_patterns(1, 1, 3) == (96, {(1,): [0, 0, 0, 0]})
+    assert moment_series(ExternalSpec(1, 1), 3).classes == (
+        ((1,), TruncatedSeries(3)),)

@@ -438,10 +438,11 @@ def test_m_degree_above_factor_count_is_rejected(monkeypatch):
     # u^(n+1)
     lam = (2,)
     n = sum(lam)
-    values = [((1,) * n, 1)]
-    # the stratum loop returns (denominator, strata), weights as numerators
+    # the stratum loop returns (denominator, rows): per coset type, the
+    # numerators of u^0..u^cap
+    rows = {(1,) * n: [0] * (n + 1) + [1]}
     monkeypatch.setattr(traces, "weighted_patterns",
-                        lambda *args: (1, iter([(1, 1, values)])))
+                        lambda *args: (1, rows))
     monkeypatch.setattr(traces, "index_cycle_count", lambda *args: n + 1)
     with pytest.raises(AssertionError):
         trace_moment(lam, lam, n + 1)
