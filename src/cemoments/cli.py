@@ -7,7 +7,7 @@ render each coset class once and print one line when all agree; only
 otherwise do they list the delta patterns, one line each. Results go to
 stdout, diagnostics to stderr; --json switches to machine output. Worker
 count comes from --workers or the CEMOMENTS_WORKERS environment variable.
-Input the engine rejects with a ValueError prints "error: ..." and exits 2.
+A ValueError from the engine or a MemoryError prints "error: ..." and exits 2.
 """
 
 from __future__ import annotations
@@ -332,6 +332,9 @@ def main(argv=None):
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy names the size it could not allocate
+        print(f"error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return 2
 
 

@@ -67,16 +67,15 @@ path with k > 1:
     x in path (a, b, k), g its j-th zbar: path (a, b, k-1-l) and chain
         l = max(j-2, 0), or twisted (a, b, k-1);
     x in path (a, b, k), g the j-th zbar of path (c, d, m): (a, d, 1+m-j)
-        and (c, b, k+j-2), or twisted (a, c, j) and (b, d, k-1+m-j).
+        and (c, b, k+j-2), and, twisted, the same for (d, c, m).
 
-Equal states merge their count rows, one term count per cycle number,
-and only two levels are alive at a time. The final state is n paths
-with k = 1: a matching Y of the 2n external zbar slots, (row, col)
-pairs for beta=2. Pairing the external z-factors is forced from there:
-a pattern p comes from Y exactly when {(p[2f], p[2f+1])} = Y, and it has
-Y's counts. enumerate_wick files each Y under its type against B, and
-checks that every type present carries one count row on all of its
-matchings.
+_moves returns canonical states (only a join can reverse a beta=1 path),
+so equal states add their rows, one integer of term counts per cycle
+number; two levels are alive at a time. The final state is n paths with
+k = 1: a matching Y of the 2n external zbar slots, (row, col) pairs for
+beta=2. Pairing the external z-factors is forced from there: a pattern p
+comes from Y exactly when {(p[2f], p[2f+1])} = Y and has Y's counts;
+enumerate_wick files each Y under its type against B.
 
 Determinism: the kernel is serial code, and every count is an exact
 integer sum, independent of dict order. Parallel runs happen one level up:
@@ -87,7 +86,6 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -251,8 +249,8 @@ def class_patterns(beta, n, rho):
 def _moves(beta, state):
     """Pair one free z-factor x of a class state with each unused zbar g.
 
-    Yields (components, number of pairings) per outcome, by the move rules
-    of the module docstring; a chain (-1, -1, 0) is a closed cycle.
+    Yields (components, number of pairings) per outcome by the module
+    docstring's rules, each path canonical; (-1, -1, 0) is a closed cycle.
     """
     twisted = beta == 1
     if state[0][0] < 0:  # x in the first chain
@@ -276,41 +274,39 @@ def _moves(beta, state):
         yield rest + [(a, b, k - 1)], k
     for h, (c, d, m) in enumerate(rest):
         others = rest[:h] + rest[h + 1:]
-        for j in range(1, m + 1):
-            yield others + [(a, d, 1 + m - j), (c, b, k + j - 2)], 1
-            if twisted:
-                yield others + [(a, c, j), (b, d, k - 1 + m - j)], 1
+        for c, d in ((c, d), (d, c)) if twisted else ((c, d),):
+            p, q = (d, a) if twisted and d < a else (a, d)
+            r, s = (b, c) if twisted and b < c else (c, b)
+            for j in range(1, m + 1):
+                yield others + [(p, q, 1 + m - j), (r, s, k + j - 2)], 1
 
 
 def _enumerate(graph):
     """Sum the terms of the slot graph over its internal z-factors.
 
-    Pairs one free z-factor per level, on class states, and returns
-    {Y: [term count per cycle number]}, Y the sorted (a, b) terminal pairs
-    of the final paths.
+    Pairs one free z-factor per level, on class states. A row is one
+    integer, the count for c closed cycles at bit c * width: no count
+    exceeds the F! 2^F terms, as each pairing it counts extends to its own.
+    Returns {Y: [term count per cycle number]}, Y the sorted (a, b) pairs.
     """
     beta, n, F = graph.beta, graph.n, graph.factor_count
     size = 2 * (F - n) + 1  # a cycle needs at least one internal z-slot
+    width = (math.factorial(F) << F).bit_length()
     start = [(2 * g, 2 * g + 1, 1) for g in range(n)]
     start += [(-1, -1, q) for q in graph.vertex_type]
-    level = {tuple(sorted(start)): [1] + [0] * (size - 1)}
+    level = {tuple(sorted(start)): 1}
     for _ in range(F - n):
         nxt = {}
         for state, row in level.items():
-            outcomes = collections.Counter()
             for parts, weight in _moves(beta, state):
-                if beta == 1:  # a path has no direction
-                    parts = [(min(a, b), max(a, b), k) for a, b, k in parts]
                 parts.sort()
                 cycles = parts.count((-1, -1, 0))
-                outcomes[tuple(parts[cycles:]), cycles] += weight
-            for (new, cycles), weight in outcomes.items():
-                acc = nxt.setdefault(new, [0] * size)
-                for c, count in enumerate(row):
-                    if count:
-                        acc[c + cycles] += weight * count
+                new = tuple(parts[cycles:])
+                nxt[new] = nxt.get(new, 0) + (weight * row << cycles * width)
         level = nxt
-    return {tuple((a, b) for a, b, _ in state): row
+    mask = (1 << width) - 1
+    return {tuple((a, b) for a, b, _ in state):
+            [row >> c * width & mask for c in range(size)]
             for state, row in level.items()}
 
 

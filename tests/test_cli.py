@@ -405,6 +405,20 @@ def test_verify_mc_coe_rejects_bad_input_before_any_work(capsys, monkeypatch,
     assert err.startswith("error: " + BAD_SAMPLER_INPUT[bad])
 
 
+@pytest.mark.parametrize("detail", ["", "Unable to allocate 9.31 TiB"])
+def test_a_batch_too_large_to_allocate_exits_2(capsys, monkeypatch, detail):
+    # numpy raises a MemoryError subclass; a real allocation never happens
+    def no_memory(*args, **kwargs):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(montecarlo, "sample_coe", no_memory)
+    code, out, err = run_cli(capsys, "verify", "mc-coe", "--samples", "4000",
+                             "--workers", "1")
+    assert code == 2
+    assert out.startswith("seed=")
+    assert err == f"error: out of memory. {detail}".rstrip() + "\n"
+
+
 @pytest.mark.parametrize("N, M, corner", [
     (8, 3, 3), (32, 8, 8), (8, 1, 2), (8, 0, 2), (2, 2, 2), (1, 1, 1),
     (1, 0, 1),

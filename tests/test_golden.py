@@ -70,6 +70,10 @@ def _commands():
     # deep strata, which reach the kernel's long-path and many-chain moves
     out.append(("trace", "--lambda", "2", "--cap", "8"))
     out.append(("trace", "--lambda", "4", "--cap", "9"))
+    # one long ring (F = 31): rows 61 slots wide, counts up to about
+    # 10^42, far past the slot oracle's F <= 10
+    out.append(("jpoly", "--lambda", "30"))
+    out.append(("jpoly", "--beta", "2", "--lambda", "30"))
     out.append(("verify", "cancellations"))
     out.append(("verify", "cancellations", "--json"))
     out.append(("verify", "catalan"))

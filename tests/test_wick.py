@@ -271,6 +271,37 @@ def test_class_kernel_matches_the_slot_kernel():
                     beta, n, lam)
 
 
+def test_moves_return_canonical_paths():
+    # on every state the kernel reaches in the strata of the slot-kernel
+    # test above, a beta=1 path keeps a < b, and a beta=2 path runs from a
+    # row terminal (even) to a column terminal (odd)
+    for beta, max_f in [(1, 9), (2, 10)]:
+        for n in range(1, 7):
+            top = max_f if n <= 3 else 8
+            for lam in [lam for size in range(top - n + 1)
+                        for lam in partitions_of(size, min_part=2)]:
+                _walk_checking_paths(beta, n, lam)
+
+
+def _walk_checking_paths(beta, n, lam):
+    """Walk the class states of stratum lam level by level through _moves,
+    checking the terminals of every path each move returns."""
+    level = {tuple(sorted([(2 * g, 2 * g + 1, 1) for g in range(n)]
+                          + [(-1, -1, q) for q in lam]))}
+    for _ in range(sum(lam)):
+        reached = set()
+        for state in level:
+            for parts, _ in wick._moves(beta, state):
+                paths = [(a, b) for a, b, _ in parts if a >= 0]
+                if beta == 1:
+                    assert all(a < b for a, b in paths), (lam, parts)
+                else:
+                    assert all(a % 2 < b % 2 for a, b in paths), (lam, parts)
+                reached.add(tuple(sorted(
+                    part for part in parts if part != (-1, -1, 0))))
+        level = reached
+
+
 def _final_matching(beta, pattern):
     """The kernel's final key for a pattern: its pairs (p[2f], p[2f+1]).
 
