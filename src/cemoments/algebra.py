@@ -93,7 +93,7 @@ def _format_poly(coeffs, var):
 
 def _horner(coeffs, x):
     """Exact sum of coeffs[k] x^k, in integers over one common denominator."""
-    x = Fraction(x)
+    x = x if type(x) is Fraction else Fraction(x)
     # lcm(*list), not lcm(*generator): CPython grows a tuple built from a
     # generator in place, and the grown tuple stays on a freelist when freed
     denominator = math.lcm(*[c.denominator for c in coeffs])
@@ -210,8 +210,8 @@ class MPolynomial(_Polynomial):
 
     def __init__(self, coeffs=()):
         cleaned = _strip_trailing_zeros(
-            c if isinstance(c, Fraction) else Fraction(operator.index(c))
-            for c in coeffs)
+            c if type(c) is Fraction or isinstance(c, Fraction)
+            else Fraction(operator.index(c)) for c in coeffs)
         object.__setattr__(self, "coeffs", cleaned)
 
     def __eq__(self, other):
@@ -252,11 +252,12 @@ class TruncatedSeries(Record):
         cap = operator.index(cap)
         if cap < 0:
             raise ValueError("truncation cap must be >= 0")
-        terms = [t if isinstance(t, (MPolynomial, Fraction))
+        kinds = (MPolynomial, Fraction)  # exact types first: the usual case
+        terms = [t if type(t) in kinds or isinstance(t, kinds)
                  else Fraction(operator.index(t)) for t in terms]
         if len(terms) > cap + 1:
             raise ValueError("more terms than the cap allows")
-        terms += [Fraction(0)] * (cap + 1 - len(terms))
+        terms += [MPolynomial._zero] * (cap + 1 - len(terms))
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "terms", tuple(terms))
 

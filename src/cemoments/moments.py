@@ -18,9 +18,9 @@ Since j(d) is one polynomial per coset type, the stratum loop evaluates it
 once per (stratum, type) and sums the strata into one row per type: the
 type's series, as integer numerators over one common denominator. A moment
 series wraps each row in a series; trace_moment contracts the rows with its
-index-cycle table. Neither walks the strata, and each builds one Fraction
-per output coefficient. Patterns are listed only by the outputs that name
-them. The strata and their weights are computed once per process.
+index-cycle table. Neither walks the strata, and each builds at most one
+Fraction per output coefficient. Patterns are listed only by the outputs
+that name them. The strata and their weights are computed once per process.
 """
 
 from __future__ import annotations

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 
 import numpy as np
 
 from .algebra import Record
 from .moments import EnsembleParams
 from .partitions import normalize_partition
+from .wick import usable_cpus
 
 GENERATOR_NAME = "PCG64"
 SIGMA_TOL = 4.0  # standard errors that compare() allows a pass
@@ -245,7 +245,7 @@ def estimate_moment(cfg, observables, workers=1):
          observables)
         for b in range(cfg.batch_count)
     ]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(jobs), usable_cpus())
     if workers <= 1:
         batches = [_batch_mean(*job) for job in jobs]
     else:

@@ -25,12 +25,13 @@ from math import factorial
 def normalize_partition(parts, allow_ones=True):
     """Sort descending and validate. Returns a tuple."""
     # index(), not int(): a part 2.9 is an error, not a silent 2
-    out = tuple(sorted((operator.index(p) for p in parts), reverse=True))
-    for p in out:
-        if p < 1:
-            raise ValueError(f"partition parts must be >= 1, got {p}")
-        if p == 1 and not allow_ones:
-            raise ValueError("partition must have no part equal to 1")
+    out = tuple(sorted(map(operator.index, parts), reverse=True))
+    if out and out[-1] < (1 if allow_ones else 2):
+        for p in out:  # the largest bad part names the error
+            if p < 1:
+                raise ValueError(f"partition parts must be >= 1, got {p}")
+            if p == 1 and not allow_ones:
+                raise ValueError("partition must have no part equal to 1")
     return out
 
 
@@ -75,6 +76,7 @@ def _strata(max_rank):
     return tuple(sorted(found, key=lambda p: (rank(p), len(p), p)))
 
 
+@functools.cache
 def z_weight(lam):
     """Product of the parts times the factorials of the multiplicities."""
     prod = 1
@@ -101,6 +103,7 @@ def permutation_of_type(lam, n):
     return tuple(images)
 
 
+@functools.cache
 def cycle_matching(lam, n):
     """Matching of 2n slots tying slot 2f+1 to slot 2 pi(f).
 

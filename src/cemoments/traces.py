@@ -97,7 +97,14 @@ class TraceMomentResult(Record):
 
 def index_cycle_count(ties, matching):
     """Cycles of lam's ties with a matching, each a free block index (M)."""
-    return len(matching_type(ties, matching))
+    seen, cycles = bytearray(len(ties)), 0
+    for s in range(len(ties)):
+        if not seen[s]:  # a new cycle: walk it, a tie then a matched pair
+            cycles += 1
+            while not seen[s]:
+                seen[s] = seen[ties[s]] = 1
+                s = matching[ties[s]]
+    return cycles
 
 
 @functools.cache
@@ -133,10 +140,11 @@ def index_cycle_table(lam, mu):
     scale = 2 ** len(mu) * z_weight(mu)
     ys = Counter((sigma, index_cycle_count(ties, y))
                  for y, sigma in typed_matchings(n))
-    table = defaultdict(Counter)
+    table = defaultdict(dict)
     for (sigma, k), count in ys.items():
         for rho, xs in counts[sigma, mu].items():
-            table[rho][k] += scale * xs * count
+            cycles = table[rho]
+            cycles[k] = cycles.get(k, 0) + scale * xs * count
     return table
 
 
@@ -154,16 +162,17 @@ def trace_moment(lam, mu, cap=None, workers=1):
         )
     table = index_cycle_table(lam, mu)
     denominator, rows = weighted_patterns(1, n, cap, workers)
-    # per power (rows are zero below u^n), index cycles -> numerator
-    coeffs = [defaultdict(int) for _ in range(cap + 1)]
+    # numerators by power from u^n (rows are zero below) and index cycles
+    width = 1 + max((k for rho in rows for k in table[rho]), default=0)
+    grid = {power: [0] * width for power in range(n, cap + 1)}
     for rho, row in rows.items():
         for k, count in table[rho].items():
             for power in range(n, cap + 1):
-                coeffs[power][k] += row[power] * count
-    terms = []
-    for power, bucket in enumerate(coeffs):
-        poly = MPolynomial(Fraction(bucket.get(k, 0), denominator)
-                           for k in range(max(bucket, default=-1) + 1))
+                grid[power][k] += row[power] * count
+    terms = [MPolynomial()] * n
+    for power, numerators in grid.items():
+        poly = MPolynomial([Fraction(c, denominator) if c
+                            else MPolynomial._zero for c in numerators])
         # every index cycle takes up at least one of lam's n variable ties,
         # so the M-degree is at most n; with terms starting at u^n that
         # reads deg <= min(k, n)

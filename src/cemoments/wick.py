@@ -347,14 +347,15 @@ _diagram_cache = {}
 
 
 def get_diagram_sum(beta, n, lam):
-    """Cached enumeration, keyed by (beta, n, lam)."""
-    lam = normalize_partition(lam, allow_ones=False)
+    """Cached enumeration, keyed by (beta, n, lam) with lam normalized."""
+    if not (type(lam) is tuple and all(type(p) is int for p in lam)
+            and (beta, n, lam) in _diagram_cache):  # already a cached key
+        lam = normalize_partition(lam, allow_ones=False)
     key = (beta, n, lam)
     cached = _diagram_cache.get(key)
     if cached is None:
         graph = build_slot_graph(ExternalSpec(beta=beta, n=n), lam)
-        cached = enumerate_wick(graph)
-        _diagram_cache[key] = cached
+        cached = _diagram_cache[key] = enumerate_wick(graph)
     return cached
 
 
@@ -366,9 +367,9 @@ def get_diagram_sums(beta, n, strata, workers=1):
     pool. With more than one worker, the smallest missing strata run in
     process until they have taken POOL_START_S, about the cost of starting
     a pool; only if more than one is left do those go to one pool of
-    min(workers, jobs, cpus) processes, as whole jobs, largest first. The
-    results are returned in the order asked, so they do not depend on the
-    worker count or on the order in which jobs finish.
+    min(workers, jobs, usable_cpus()) processes, as whole jobs, largest
+    first. The results are returned in the order asked, so they do not
+    depend on the worker count or on the order in which jobs finish.
     """
     strata = [normalize_partition(lam, allow_ones=False) for lam in strata]
     missing = [lam for lam in dict.fromkeys(strata)
@@ -378,7 +379,7 @@ def get_diagram_sums(beta, n, strata, workers=1):
         start = time.perf_counter()
         while missing and time.perf_counter() - start < POOL_START_S:
             get_diagram_sum(beta, n, missing.pop())
-        workers = min(workers, len(missing), os.cpu_count() or 1)
+        workers = min(workers, len(missing), usable_cpus())
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -387,6 +388,12 @@ def get_diagram_sums(beta, n, strata, workers=1):
                 for lam, fut in futures:
                     _diagram_cache[(beta, n, lam)] = fut.result()
     return [get_diagram_sum(beta, n, lam) for lam in strata]
+
+
+def usable_cpus():
+    """The CPUs this process may run on, which caps either process pool."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not macOS, Windows
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def clear_diagram_cache():

@@ -13,8 +13,9 @@ def fake_pool(monkeypatch):
     """Swap concurrent.futures.ProcessPoolExecutor for an inline recorder.
 
     The engine imports the executor only where it starts a pool, so the
-    patch goes on concurrent.futures itself. The fixture pins
-    os.cpu_count() to 4 and wick.POOL_START_S to 0, so every missing
+    patch goes on concurrent.futures itself. The fixture pins the CPUs
+    the process may run on (os.sched_getaffinity, and os.cpu_count() where
+    that is missing) to 4 and wick.POOL_START_S to 0, so every missing
     stratum goes to the pool, and is the list that collects each pool's
     max_workers, so pool sizing is tested without starting a process.
     """
@@ -36,6 +37,8 @@ def fake_pool(monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(wick, "POOL_START_S", 0)
     return sizes

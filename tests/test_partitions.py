@@ -32,6 +32,16 @@ def test_normalize_sorts_descending():
     with pytest.raises(ValueError):
         normalize_partition([2, 1], allow_ones=False)
     assert normalize_partition([1, 1]) == (1, 1)
+    # the largest bad part names the error, as a check of each part would
+    with pytest.raises(ValueError, match="equal to 1"):
+        normalize_partition([1, 0], allow_ones=False)
+    with pytest.raises(ValueError, match="got 0"):
+        normalize_partition([0, -1])
+    with pytest.raises(ValueError, match="equal to 1"):
+        normalize_partition([-1, 2, 1], allow_ones=False)
+    with pytest.raises(ValueError, match="got -1"):
+        normalize_partition([-1, 2, 1, -2])
+    assert normalize_partition([2, 2], allow_ones=False) == (2, 2)
     # int() would read 2.9 as the part 2; only true integers are taken
     for parts in ((2.9,), (3, 2.0), ("2",)):
         with pytest.raises(TypeError):

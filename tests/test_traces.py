@@ -19,10 +19,13 @@ from cemoments import traces
 from cemoments.algebra import MPolynomial
 from cemoments.moments import moment_series
 from cemoments.partitions import (
+    cycle_matching,
+    matching_type,
     partitions_no_ones_up_to_rank,
     partitions_of,
     permutation_of_type,
     rank,
+    typed_matchings,
     z_weight,
 )
 from cemoments.traces import (
@@ -421,6 +424,16 @@ def test_index_cycle_count_spot_values():
     assert index_cycle_count(swap_ties, (3, 2, 1, 0)) == 2
     assert index_cycle_count(swap_ties, (1, 0, 3, 2)) == 1
     assert _pattern_index_cycles((0, 1, 2, 3), swap_ties, swap_ties) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_index_cycle_count_is_the_length_of_the_matching_type(n):
+    # the count walks the cycles in place; matching_type lists them
+    for lam in partitions_of(n):
+        ties = cycle_matching(lam, n)
+        for matching, _ in typed_matchings(n):
+            assert (index_cycle_count(ties, matching)
+                    == len(matching_type(ties, matching))), (lam, matching)
 
 
 def test_m_degree_never_exceeds_u_power():

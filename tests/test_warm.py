@@ -1,8 +1,9 @@
 """A warm process gives the results of a cold one.
 
-The diagram cache, the strata and their weights, and the sorted pattern
-order are kept between calls. Each check here clears all of them, renders a
-result, then renders the same call again from the warm caches.
+The diagram cache, the strata and their weights, the tie matching and
+weight of each cycle type, and the sorted pattern order are kept between
+calls. Each check here clears all of them, renders a result, then renders
+the same call again from the warm caches.
 """
 
 import pytest
@@ -20,6 +21,8 @@ def _clear_caches():
     clear_diagram_cache()
     partitions._strata.cache_clear()
     moments.stratum_coefficient.cache_clear()
+    partitions.z_weight.cache_clear()
+    partitions.cycle_matching.cache_clear()
     wick._pattern_order.cache_clear()
 
 
@@ -42,6 +45,20 @@ def test_warm_trace_moments_equal_cold(lam):
             _clear_caches()
             cold = _trace_outputs(lam, mu, cap)
             assert _trace_outputs(lam, mu, cap) == cold, (lam, mu, cap)
+
+
+def test_trace_moments_after_a_cleared_diagram_cache_equal_warm_ones():
+    # the per-type constants stay while the diagram sums are enumerated anew
+    for lam in PARTITIONS:
+        n = sum(lam)
+        for mu in PARTITIONS:
+            trace_moment(lam, mu, n + 2)
+            warm = trace_moment(lam, mu, n + 2)
+            clear_diagram_cache()
+            cold = trace_moment(lam, mu, n + 2)
+            assert cold == warm and cold.series.terms == warm.series.terms
+            assert _trace_outputs(lam, mu, n + 2) == (
+                cold.format(), cold.to_json(), cold.value_at(9, 2))
 
 
 @pytest.mark.parametrize("beta", [1, 2])

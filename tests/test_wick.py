@@ -15,8 +15,9 @@ import types
 
 import pytest
 
-from cemoments import wick
+from cemoments import partitions, wick
 from cemoments.algebra import DimPolynomial
+from cemoments.montecarlo import EntryMoment, SampleConfig, estimate_moment
 from cemoments.moments import moment_series
 from cemoments.partitions import partitions_of, z_weight
 from cemoments.traces import trace_moment
@@ -628,7 +629,7 @@ def test_an_all_hit_call_reads_no_clock_and_starts_no_pool(fake_pool,
     reads = []
     monkeypatch.setattr(wick.time, "perf_counter",
                         lambda: reads.append("clock") or 0.0)
-    monkeypatch.setattr(os, "cpu_count", lambda: reads.append("cpus") or 4)
+    monkeypatch.setattr(wick, "usable_cpus", lambda: reads.append("cpus") or 4)
     got = get_diagram_sums(1, 1, SIX, 2)
     assert all(a is b for a, b in zip(got, want)) and len(got) == len(want)
     assert (enumerated, sizes, reads) == ([], [], [])
@@ -650,3 +651,71 @@ def test_pool_takes_what_is_left_once_the_budget_is_spent(fake_pool,
     assert enumerated == JOBS[::-1][:k] + left
     # one stratum left is a single job, so it runs in process
     assert sizes == ([min(len(left), 4)] if len(left) > 1 else [])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_warm_lookup_normalizes_each_stratum_once(monkeypatch, workers):
+    # lists, unsorted and repeated strata each become one normalized key
+    strata = [(2,), [3], (2, 3), [2, 3], (3, 2), (2,), ()]
+    clear_diagram_cache()
+    want = get_diagram_sums(1, 2, strata)
+    calls = []
+
+    def counting(parts, allow_ones=True):
+        calls.append(parts)
+        return partitions.normalize_partition(parts, allow_ones)
+
+    monkeypatch.setattr(wick, "normalize_partition", counting)
+    got = get_diagram_sums(1, 2, strata, workers)
+    assert calls == strata
+    assert all(a is b for a, b in zip(got, want)) and len(got) == len(want)
+    assert got[2] is got[3] is got[4] and got[0] is got[5]
+
+
+def test_a_cached_key_of_non_integers_still_fails():
+    # (2.0,) equals the cached key (2,): only an exact tuple of ints skips
+    # normalization, so the warm lookup raises as the cold one does
+    for _ in range(2):
+        get_diagram_sum(1, 1, (2,))
+        for lam in [(2.0,), (3, 2.0), ("2",)]:
+            with pytest.raises(TypeError):
+                get_diagram_sum(1, 1, lam)
+    with pytest.raises(ValueError):
+        get_diagram_sum(1, 1, (1,))
+    assert get_diagram_sum(1, 1, [2]) is get_diagram_sum(1, 1, (2,))
+
+
+def test_usable_cpus_reads_the_affinity_then_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3},
+                        raising=False)
+    assert wick.usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert wick.usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert wick.usable_cpus() == 1
+
+
+def test_one_usable_cpu_starts_no_pool(fake_pool, monkeypatch):
+    # the fixture's zero budget sends every missing stratum to the pool,
+    # and its machine has 4 CPUs; the process may run on only one of them
+    sizes = fake_pool
+    cfg = SampleConfig(ensemble="COE", N=4, sample_count=400, rng_seed=3,
+                       batch_count=4)
+    obs = [EntryMoment(factors=((0, 1, False), (0, 1, True)))]
+
+    def both(workers):
+        clear_diagram_cache()
+        return (trace_moment((2, 1), (3,), 6, workers=workers),
+                estimate_moment(cfg, obs, workers=workers))
+
+    serial = both(1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert both(2) == serial
+    assert sizes == []
+    # with two usable CPUs, the same calls do start both pools
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert both(2) == serial
+    assert sizes == [2, 2]
