@@ -146,9 +146,10 @@ def moment_series(spec, order_cap, workers=1):
             f"cap {order_cap} is below the leading order u^{n}"
         )
     denominator, rows = weighted_patterns(spec.beta, n, order_cap, workers)
+    zero = Fraction(0)  # one zero for every row: all are zero below u^n
     classes = tuple(
-        (rho, TruncatedSeries(order_cap,
-                              [Fraction(t, denominator) for t in row]))
+        (rho, TruncatedSeries(order_cap, [Fraction(t, denominator) if t
+                                          else zero for t in row]))
         for rho, row in sorted(rows.items())
     )
     return MomentSeries(params=EnsembleParams.for_beta(spec.beta), n=n,

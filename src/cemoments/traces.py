@@ -18,12 +18,15 @@ u = 1/(N+1) whose coefficients are exact polynomials in M.
 The final moment is a class function of (pi, pi'); any representative of
 the cycle type gives the same series (there is a property test for that),
 so the canonical consecutive-block permutation is used.
+
+Large N is read in three regimes: M fixed, M = xi N and M = N (xi = 1).
+Since N = (1-u)/u, the last two substitute M = xi (1-u)/u, which sends
+u^k M^j to xi^j u^(k-j) (1-u)^j.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -186,30 +189,6 @@ def trace_moment(lam, mu, cap=None, workers=1):
     return TraceMomentResult(lam, mu, cap, TruncatedSeries(cap, terms))
 
 
-def _large_m_coefficients(series):
-    """Coefficients after substituting M = xi (1-u)/u.
-
-    u^k M^j becomes xi^j u^(k-j) (1-u)^j, never a negative power here
-    because coefficients at u^k have M-degree <= k. Returns (denominator,
-    out): entry m of out is the u^m coefficient as a dict from xi-power to
-    its integer numerator over the denominator; at M = N (xi = 1) it is the
-    sum of the dict's values.
-    """
-    denominator = math.lcm(*[c.denominator for poly in series.terms
-                             for c in poly.coeffs])
-    out = [dict() for _ in series.terms]
-    for k, poly in enumerate(series.terms):
-        for j, c in enumerate(poly.coeffs):
-            if not c:
-                continue
-            c = c.numerator * (denominator // c.denominator)
-            # expand u^(k-j) (1-u)^j
-            for t in range(j + 1):
-                m = k - j + t
-                out[m][j] = out[m].get(j, 0) + c * comb(j, t) * (-1) ** t
-    return denominator, out
-
-
 class RegimeReport(Record):
     regime: str
     leading: str
@@ -224,59 +203,46 @@ REGIMES = ("fixed-M", "M=N", "M=xiN")
 def regime_asymptotics(lam, mu, regime, cap=None, workers=1):
     """Leading large-N behavior of the trace moment in one scaling regime.
 
-    Uses only the computed truncation. For the substituted regimes (M=N and
-    M=xiN) an uncomputed order k > cap could feed powers as low as
-    u^(k - min(k, 2n)), so a leading term is only declared below the
-    threshold cap+1-2n; otherwise the verdict is indeterminate at this cap.
-    Fixed-M orders are never fed from above, so the first nonzero computed
-    coefficient is always final.
+    Writing c[k][j] for the u^k M^j coefficient, the u^m row is c[m] over M
+    at fixed M. The substitution makes it sum_t (-1)^t C(j, t) c[m+j-t][j]
+    at each xi^j for M = xi N, and that row's sum for M = N. Uses only the
+    computed truncation: an uncomputed order k > cap feeds substituted
+    powers as low as u^(k - min(k, 2n)), so a substituted leading term is
+    only declared below cap+1-2n; otherwise the verdict is indeterminate at
+    this cap. Fixed-M orders are never fed from above, so the first nonzero
+    computed row is always final.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
     result = trace_moment(lam, mu, cap, workers=workers)
-    n, cap = result.n, result.cap
+    n, cap, c = result.n, result.cap, result.series.coefficient
     if result.selection_rule_zero:
         return RegimeReport(regime=regime, leading="0", indeterminate=False,
                             cap=cap, final_below=cap + 1)
-    leading = None
-    if regime == "fixed-M":
-        final_below = cap + 1
-        for k in range(n, cap + 1):
-            poly = result.series.coefficient(k)
-            if poly:
-                leading = (str(poly), k)
-                break
-    else:
-        final_below = max(0, cap + 1 - 2 * n)
-        denominator, subbed = _large_m_coefficients(result.series)
-        for m in range(final_below):
-            # xi-powers are M-powers, at most n (trace_moment's bound)
-            coeffs = [subbed[m].get(j, 0) for j in range(n + 1)]
-            if regime == "M=N":
-                coeffs = [sum(coeffs)]
-            if any(coeffs):
-                coeffs = [Fraction(c, denominator) for c in coeffs]
-                leading = (_format_poly(coeffs, "xi"), m)
-                break
-    if leading is None:
-        return RegimeReport(regime=regime,
-                            leading="indeterminate at this cap",
-                            indeterminate=True, cap=cap,
-                            final_below=final_below)
-    body, power = leading
-    tail = f"/{power_of('N', power)}" if power else ""
-    return RegimeReport(regime=regime,
-                        leading=format_terms([(False, body, tail)]),
-                        indeterminate=False, cap=cap, final_below=final_below)
+    final_below = cap + 1 if regime == "fixed-M" else max(0, cap + 1 - 2 * n)
+    for m in range(final_below):
+        if regime == "fixed-M":
+            row, var = c(m).coeffs, "M"
+        else:  # j <= min(k, n), trace_moment's M-degree bound
+            row = [sum((-1) ** t * comb(j, t) * c(m + j - t).coefficient(j)
+                       for t in range(j + 1)) for j in range(n + 1)]
+            row, var = [sum(row)] if regime == "M=N" else row, "xi"
+        if any(row):
+            tail = f"/{power_of('N', m)}" if m else ""
+            leading = format_terms([(False, _format_poly(row, var), tail)])
+            return RegimeReport(regime=regime, leading=leading,
+                                indeterminate=False, cap=cap,
+                                final_below=final_below)
+    return RegimeReport(regime=regime, leading="indeterminate at this cap",
+                        indeterminate=True, cap=cap, final_below=final_below)
 
 
 def large_n_limit(lam, workers=1):
     """Constant term of the diagonal trace moment at full block size M = N.
 
-    Substitutes M = (1-u)/u, which sends u^k M^j to u^(k-j) (1-u)^j. The u^0
-    term needs j = k, and since j <= n <= k (trace_moment's M-degree bound
-    and leading order), only the M^n coefficient at u^n contributes: a
-    single computation at cap n.
+    At xi = 1 the u^0 term of u^(k-j) (1-u)^j needs j = k, and since
+    j <= n <= k (trace_moment's M-degree bound and leading order), only the
+    M^n coefficient at u^n contributes: a single computation at cap n.
     """
     lam = normalize_partition(lam)
     n = sum(lam)

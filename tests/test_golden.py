@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from cemoments.algebra import MPolynomial, TruncatedSeries, format_series
 from cemoments.cli import format_pattern_series, main
+from cemoments.partitions import partitions_of
 from cemoments.traces import (
     REGIMES,
     TraceMomentResult,
@@ -88,6 +89,16 @@ def _regime_cases():
     return [(lam, regime) for lam in REGIME_PARTITIONS for regime in REGIMES]
 
 
+def _regime_cap_cases():
+    # every pair of equal size n <= 3 and one |mu| = n + 1 zero, at caps
+    # n..n+4: the substituted regimes read orders below cap + 1 - 2n, so
+    # these pin leading terms past u^0 that the default cap never reaches
+    pairs = [(lam, mu) for n in (1, 2, 3) for lam in partitions_of(n)
+             for mu in partitions_of(n)] + [((2,), (2, 1))]
+    return [(lam, mu, regime, cap) for lam, mu in pairs for regime in REGIMES
+            for cap in range(sum(lam), sum(lam) + 5)]
+
+
 def _key(argv):
     return " ".join(repr(a) if a == "" else a for a in argv)
 
@@ -96,8 +107,14 @@ def _regime_key(lam, regime):
     return f"{','.join(map(str, lam))} {regime}"
 
 
-def _regime_text(lam, regime):
-    rep = regime_asymptotics(lam, lam, regime)
+def _regime_cap_key(case):
+    lam, mu, regime, cap = case
+    return (f"{','.join(map(str, lam))} {','.join(map(str, mu))} "
+            f"{regime} cap={cap}")
+
+
+def _regime_text(lam, mu, regime, cap=None):
+    rep = regime_asymptotics(lam, mu, regime, cap)
     return f"{rep.leading}|{rep.indeterminate}|{rep.final_below}"
 
 
@@ -121,7 +138,13 @@ def test_cli_stdout_matches_golden(argv, golden):
 @pytest.mark.parametrize("lam,regime", _regime_cases())
 def test_regime_leading_matches_golden(lam, regime, golden):
     want = golden["regime"][_regime_key(lam, regime)]
-    assert _regime_text(lam, regime) == want
+    assert _regime_text(lam, lam, regime) == want
+
+
+@pytest.mark.parametrize("case", _regime_cap_cases(), ids=_regime_cap_key)
+def test_regime_leading_at_each_cap_matches_golden(case, golden):
+    want = golden["regime_caps"][_regime_cap_key(case)]
+    assert _regime_text(*case) == want
 
 
 def test_pattern_series_renders_rational_scalars():
@@ -152,10 +175,12 @@ def test_trace_series_renders_rational_m_polynomials():
 
 def _record():
     cli = {_key(argv): _run(argv) for argv in _commands()}
-    regime = {
-        _regime_key(lam, r): _regime_text(lam, r) for lam, r in _regime_cases()
-    }
-    GOLDEN.write_text(json.dumps({"cli": cli, "regime": regime}, indent=1)
+    regime = {_regime_key(lam, r): _regime_text(lam, lam, r)
+              for lam, r in _regime_cases()}
+    regime_caps = {_regime_cap_key(case): _regime_text(*case)
+                   for case in _regime_cap_cases()}
+    GOLDEN.write_text(json.dumps({"cli": cli, "regime": regime,
+                                  "regime_caps": regime_caps}, indent=1)
                       + "\n")
 
 

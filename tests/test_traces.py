@@ -436,6 +436,23 @@ def test_index_cycle_count_is_the_length_of_the_matching_type(n):
                     == len(matching_type(ties, matching))), (lam, matching)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_index_cycle_walk_is_read_off_the_matching_counts(n):
+    # a matching Y has k index cycles with lam's ties when type(ties, Y)
+    # has k parts, so _matching_counts(n)[lam, kappa] already holds the
+    # (type, index cycles) counts that index_cycle_table walks Y for
+    counts = traces._matching_counts(n)
+    for lam in partitions_of(n):
+        ties = cycle_matching(lam, n)
+        walked = Counter((sigma, index_cycle_count(ties, y))
+                         for y, sigma in typed_matchings(n))
+        read = Counter()
+        for kappa in partitions_of(n):
+            for sigma, count in counts[lam, kappa].items():
+                read[sigma, len(kappa)] += count
+        assert walked == read, lam
+
+
 def test_m_degree_never_exceeds_u_power():
     # at most one index cycle per z-side variable tie: deg <= min(k, n)
     for n in (1, 2, 3):
