@@ -77,11 +77,25 @@ def _print_classes(beta, n, classes, render):
         print(f"pattern {list(p)}: {text}")
 
 
+def _print_json_list(entries, head="", tail=""):
+    """Print head, the entries as one JSON list, then tail, entry by entry.
+
+    The bytes are those of one json.dumps of the whole list, but neither
+    the list of entries nor its text is ever built whole.
+    """
+    write = sys.stdout.write
+    write(head + "[")
+    for i, entry in enumerate(entries):
+        write(", " + json.dumps(entry) if i else json.dumps(entry))
+    print("]" + tail)
+
+
 def cmd_jpoly(args):
     dsum = get_diagram_sum(args.beta, args.n, args.lam)
     if args.json:
         _check_listing(args.beta, args.n, dsum.classes)
-        print(json.dumps(dsum.to_json()))
+        _print_json_list(dsum.json_patterns(),
+                         f'{{"edges": {dsum.edge_count}, "patterns": ', "}")
         return 0
     _print_classes(args.beta, args.n, dsum.classes, str)
     return 0
@@ -94,7 +108,7 @@ def cmd_moment(args):
     )
     if args.json:
         _check_listing(args.beta, args.n, ms.classes)
-        print(json.dumps(ms.to_json(N=args.N)))
+        _print_json_list(ms.json_entries(N=args.N))
         return 0
     u = None if args.N is None else ms.params.u_of_N(args.N)
     tail = f"; u=1/({ms.params.omega_text})"

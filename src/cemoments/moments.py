@@ -120,11 +120,11 @@ class MomentSeries(Record):
         u = self.params.u_of_N(N)
         return self._expand(lambda s: s.eval_at(u))
 
-    def to_json(self, N=None):
+    def json_entries(self, N=None):
+        """The entries of to_json, one at a time."""
         u = None if N is None else self.params.u_of_N(N)
         encoded = self._expand(lambda s: (
             s.to_json(), None if u is None else str(s.eval_at(u))))
-        out = []
         for p, (series, value) in encoded.items():
             entry = {
                 "ensemble": self.params.name,
@@ -134,8 +134,10 @@ class MomentSeries(Record):
             }
             if N is not None:
                 entry["value"] = value
-            out.append(entry)
-        return out
+            yield entry
+
+    def to_json(self, N=None):
+        return list(self.json_entries(N))
 
 
 def moment_series(spec, order_cap, workers=1):

@@ -151,13 +151,19 @@ def index_cycle_table(lam, mu):
     return table
 
 
-def trace_moment(lam, mu, cap=None, workers=1):
-    """Series for < p_lam(B) conj(p_mu(B)) > over the M x M block."""
+def _checked_query(lam, mu, cap):
+    """Normalized lam and mu, n = |lam| and the cap (default max(4, n+1))."""
     lam, mu = normalize_partition(lam), normalize_partition(mu)
     n = sum(lam)
     cap = max(4, n + 1) if cap is None else operator.index(cap)
     if cap < n:
         raise ValueError(f"cap {cap} is below the leading order u^{n}")
+    return lam, mu, n, cap
+
+
+def trace_moment(lam, mu, cap=None, workers=1):
+    """Series for < p_lam(B) conj(p_mu(B)) > over the M x M block."""
+    lam, mu, n, cap = _checked_query(lam, mu, cap)
     if sum(mu) != n:
         # phase invariance: z and z-bar counts must match, term by term
         return TraceMomentResult(
@@ -209,24 +215,35 @@ def regime_asymptotics(lam, mu, regime, cap=None, workers=1):
     computed truncation: an uncomputed order k > cap feeds substituted
     powers as low as u^(k - min(k, 2n)), so a substituted leading term is
     only declared below cap+1-2n; otherwise the verdict is indeterminate at
-    this cap. Fixed-M orders are never fed from above, so the first nonzero
-    computed row is always final.
+    this cap. A substituted row m reads only the orders m..m+n, so the
+    series is built through u^(cap-n), and not at all when cap < 2n.
+    Fixed-M orders are never fed from above, and the u^n row always leads:
+    only the empty stratum reaches u^n, with weight 1 and j(d) = 1, so that
+    row counts patterns by their M^k, k >= 1, and is never zero. The series
+    is then built only through u^n.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}")
-    result = trace_moment(lam, mu, cap, workers=workers)
-    n, cap, c = result.n, result.cap, result.series.coefficient
-    if result.selection_rule_zero:
+    lam, mu, n, cap = _checked_query(lam, mu, cap)
+    if sum(mu) != n:
         return RegimeReport(regime=regime, leading="0", indeterminate=False,
                             cap=cap, final_below=cap + 1)
-    final_below = cap + 1 if regime == "fixed-M" else max(0, cap + 1 - 2 * n)
-    for m in range(final_below):
-        if regime == "fixed-M":
-            row, var = c(m).coeffs, "M"
-        else:  # j <= min(k, n), trace_moment's M-degree bound
-            row = [sum((-1) ** t * comb(j, t) * c(m + j - t).coefficient(j)
-                       for t in range(j + 1)) for j in range(n + 1)]
-            row, var = [sum(row)] if regime == "M=N" else row, "xi"
+    if regime == "fixed-M":
+        final_below = cap + 1
+        series = trace_moment(lam, mu, n, workers=workers).series
+        rows = [(n, series.coefficient(n).coeffs)]
+    else:
+        final_below, rows = max(0, cap + 1 - 2 * n), []
+        if final_below:  # j <= min(k, n), trace_moment's M-degree bound
+            c = trace_moment(lam, mu, cap - n,
+                             workers=workers).series.coefficient
+            rows = ((m, [sum((-1) ** t * comb(j, t)
+                             * c(m + j - t).coefficient(j)
+                             for t in range(j + 1)) for j in range(n + 1)])
+                    for m in range(final_below))
+    var = "M" if regime == "fixed-M" else "xi"
+    for m, row in rows:
+        row = [sum(row)] if regime == "M=N" else row
         if any(row):
             tail = f"/{power_of('N', m)}" if m else ""
             leading = format_terms([(False, _format_poly(row, var), tail)])

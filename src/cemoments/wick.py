@@ -168,16 +168,15 @@ class DiagramSum(Record):
         """Every pattern with its polynomial, in sorted pattern order."""
         return expand_classes(self.beta, self.n, self.classes)
 
+    def json_patterns(self):
+        """The entries of to_json's pattern list, one at a time."""
+        for p, poly in expand_classes(self.beta, self.n, self.classes,
+                                      DimPolynomial.to_json).items():
+            yield {"match": [[s, w] for s, w in enumerate(p)], "poly": poly}
+
     def to_json(self):
-        return {
-            "edges": self.edge_count,
-            "patterns": [
-                {"match": [[s, w] for s, w in enumerate(p)], "poly": poly}
-                for p, poly in expand_classes(
-                    self.beta, self.n, self.classes,
-                    DimPolynomial.to_json).items()
-            ],
-        }
+        return {"edges": self.edge_count,
+                "patterns": list(self.json_patterns())}
 
 
 def expand_classes(beta, n, classes, convert=None):

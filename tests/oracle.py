@@ -14,6 +14,10 @@ The library's Wick kernel never numbers a slot: it runs on classes of
 paths and chains. trace_ties wires the slot graph slot by slot, and
 slot_enumerate is the earlier slot-number kernel over those ties, so the
 tests can check the class kernel and walk every pairing against them.
+
+ring_polynomial gives j(d) of one long ring, the n = 1 stratum (k,), from
+Wishart moment recursions that never enumerate a pairing, so it reaches
+rings far past the slot kernel.
 """
 
 import itertools
@@ -165,3 +169,102 @@ def slot_enumerate(graph):
             (packed >> c * bits) & mask for c in range(max_cycles)
         ]
     return counts
+
+
+def _combine(*terms):
+    """The integer polynomial sum of c * d^shift * poly over the terms.
+
+    A polynomial is its tuple of coefficients, lowest power first, with no
+    trailing zeros; each term is (c, shift, poly).
+    """
+    out = []
+    for c, shift, poly in terms:
+        out.extend([0] * (shift + len(poly) - len(out)))
+        for i, a in enumerate(poly):
+            out[shift + i] += c * a
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _divide(poly, divisor):
+    """poly / divisor for a monic divisor, or an integer; raises if inexact."""
+    if isinstance(divisor, int):
+        if any(a % divisor for a in poly):
+            raise AssertionError(f"{poly} is not divisible by {divisor}")
+        return tuple(a // divisor for a in poly)
+    rest, top = list(poly), len(divisor) - 1
+    quotient = [0] * max(0, len(poly) - top)
+    for i in reversed(range(len(quotient))):
+        quotient[i] = rest[i + top]
+        for j, b in enumerate(divisor):
+            rest[i + j] -= quotient[i] * b
+    if any(rest):
+        raise AssertionError(f"{poly} is not divisible by {divisor}")
+    return _combine((1, 0, quotient))
+
+
+def _complex_wishart_moments(top):
+    """D_p = E Tr W^p, W = Z Z^dagger for a d x d complex Gaussian Z.
+
+    The Haagerup-Thorbjornsen recursion (Expo. Math. 21, 2003):
+    (p+2) D_{p+1} = 2d(2p+1) D_p + (p-1) p^2 D_{p-1}, D_0 = d, D_1 = d^2.
+    """
+    moments = [(0, 1), (0, 0, 1)]
+    for p in range(1, top):
+        moments.append(_divide(_combine(
+            (2 * (2 * p + 1), 1, moments[p]),
+            ((p - 1) * p * p, 0, moments[p - 1])), p + 2))
+    return moments
+
+
+def _symmetric_moments(top):
+    """m_k = E Tr (Z conj(Z))^k for the complex symmetric Gaussian Z.
+
+    E|Z_ii|^2 = 2 and E|Z_ij|^2 = 1. Seeded with m_0..m_3, then for k >= 4
+
+        (k+1) m_k = 2d(4k-1) m_{k-1}
+                    - (16d^2 k - 24d^2 - 5k^3 + 16k^2 - 15k + 4) m_{k-2}
+                    - 4d(k-3)(5k^2 - 19k + 16) m_{k-3}
+                    - 4(k-4)^2 (k-3)^2 (k-1) m_{k-4}.
+
+    The recurrence was fitted to the engine's rings for k <= 40 and held
+    on k = 41..70 at d = 1..24, data the fit did not use. It is measured,
+    not derived: a regression pin, not an independent check.
+    """
+    m = [(0, 1), (0, 1, 1), (0, 2, 4, 2), (0, 8, 19, 16, 5)]
+    for k in range(4, top + 1):
+        m.append(_divide(_combine(
+            (2 * (4 * k - 1), 1, m[k - 1]),
+            (-16 * k + 24, 2, m[k - 2]),
+            (5 * k ** 3 - 16 * k * k + 15 * k - 4, 0, m[k - 2]),
+            (-4 * (k - 3) * (5 * k * k - 19 * k + 16), 1, m[k - 3]),
+            (-4 * (k - 4) ** 2 * (k - 3) ** 2 * (k - 1), 0, m[k - 4])),
+            k + 1))
+    return m
+
+
+def ring_polynomial(beta, k):
+    """j_k(d) of the stratum (k,) at n = 1, lowest power first.
+
+    Euler's scaling of the Gaussian density gives E[Tr(Z Z^dagger) g] =
+    (D + k) E[g] for beta = 2 and 2(D + k) E[g] for beta = 1, with D the
+    count of independent complex entries; the patterns' delta sums are d^2
+    and d^2 + d. So j_k = (d^2 + k) D_k / d^2 for beta = 2, and j_k =
+    (d^2 + d + 2k) m_k / (d^2 + d) for beta = 1.
+    """
+    if beta == 2:
+        moment, delta_sum = _complex_wishart_moments(k)[k], (0, 0, 1)
+    else:
+        moment, delta_sum = _symmetric_moments(k)[k], (0, 1, 1)
+    weight = k if beta == 2 else 2 * k
+    return _combine((1, 0, moment), (weight, 0, _divide(moment, delta_sum)))
+
+
+def ring_value_at_one(k):
+    """j_k(1) for beta = 1: 2^k (k+1)!.
+
+    At d = 1, j counts the Wick terms of one delta pattern: the ring's
+    (k+1)! 2^(k+1) terms split evenly over the two patterns of n = 1.
+    """
+    return 2 ** k * math.factorial(k + 1)

@@ -14,7 +14,8 @@ import pytest
 from cemoments import cli, montecarlo, wick
 from cemoments.algebra import DimPolynomial, TruncatedSeries
 from cemoments.cli import build_parser, main, parse_partition
-from cemoments.wick import DiagramSum
+from cemoments.moments import moment_series
+from cemoments.wick import DiagramSum, ExternalSpec
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +238,23 @@ def test_listing_below_the_limit_is_unchanged(capsys, argv, lines, sha):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, err, out.count("\n")) == (0, "", lines)
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("argv", [
+    "jpoly --beta 1 --n 3 --lambda 2 --json",
+    "jpoly --beta 2 --n 1 --lambda 3 --json",
+    "moment --beta 1 --n 3 --cap 5 --json",
+    "moment --beta 2 --n 3 --cap 5 --N 7 --json",
+])
+def test_streamed_json_listing_is_one_dumps_of_to_json(capsys, argv):
+    args = build_parser().parse_args(argv.split())
+    if args.command == "jpoly":
+        whole = wick.get_diagram_sum(args.beta, args.n, args.lam).to_json()
+    else:
+        whole = moment_series(ExternalSpec(beta=args.beta, n=args.n),
+                              args.cap).to_json(N=args.N)
+    assert run_cli(capsys, *argv.split()) == (0, json.dumps(whole) + "\n",
+                                              "")
 
 
 def test_stratum_of_more_than_127_factors_exits_2_with_message(capsys):

@@ -12,11 +12,12 @@ engine output over a differing reference tuple.
 import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from cemoments import traces
-from cemoments.algebra import MPolynomial
+from cemoments.algebra import MPolynomial, _format_poly, format_terms, power_of
 from cemoments.moments import moment_series
 from cemoments.partitions import (
     cycle_matching,
@@ -29,6 +30,8 @@ from cemoments.partitions import (
     z_weight,
 )
 from cemoments.traces import (
+    REGIMES,
+    RegimeReport,
     TraceMomentResult,
     index_cycle_count,
     index_cycle_table,
@@ -649,3 +652,91 @@ def test_regime_selection_rule_and_validation():
     assert report.leading == "0"
     with pytest.raises(ValueError):
         regime_asymptotics((2,), (2,), "M=2N")
+
+
+def _full_series_regime(lam, mu, regime, cap):
+    """The verdict read off the whole series to cap, row by row.
+
+    Builds the series through u^cap, as regime_asymptotics did before it
+    built only the orders it reads, and takes the first nonzero row below
+    final_below.
+    """
+    result = trace_moment(lam, mu, cap)
+    n, c = result.n, result.series.coefficient
+    if result.selection_rule_zero:
+        return RegimeReport(regime=regime, leading="0", indeterminate=False,
+                            cap=cap, final_below=cap + 1)
+    final_below = cap + 1 if regime == "fixed-M" else max(0, cap + 1 - 2 * n)
+    for m in range(final_below):
+        if regime == "fixed-M":
+            row, var = c(m).coeffs, "M"
+        else:
+            row = [sum((-1) ** t * comb(j, t) * c(m + j - t).coefficient(j)
+                       for t in range(j + 1)) for j in range(n + 1)]
+            row, var = [sum(row)] if regime == "M=N" else row, "xi"
+        if any(row):
+            tail = f"/{power_of('N', m)}" if m else ""
+            leading = format_terms([(False, _format_poly(row, var), tail)])
+            return RegimeReport(regime=regime, leading=leading,
+                                indeterminate=False, cap=cap,
+                                final_below=final_below)
+    return RegimeReport(regime=regime, leading="indeterminate at this cap",
+                        indeterminate=True, cap=cap, final_below=final_below)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_regime_verdicts_equal_the_full_series_reading(n):
+    parts = list(partitions_of(n))
+    pairs = [(lam, mu) for lam in parts for mu in parts]
+    pairs.append((parts[0], parts[0] + (1,)))  # |mu| = n + 1: a zero
+    for lam, mu in pairs:
+        for cap in range(n, n + 5):
+            for regime in REGIMES:
+                assert (regime_asymptotics(lam, mu, regime, cap)
+                        == _full_series_regime(lam, mu, regime, cap)), (
+                    lam, mu, regime, cap)
+
+
+def test_regime_verdicts_build_only_the_orders_they_read(monkeypatch):
+    asked = []
+    real = traces.trace_moment
+
+    def recording(lam, mu, cap=None, workers=1):
+        asked.append(cap)
+        return real(lam, mu, cap, workers=workers)
+
+    monkeypatch.setattr(traces, "trace_moment", recording)
+    for n in (1, 2, 3):
+        lam = (n,)
+        for cap in range(n, 2 * n + 3):
+            asked.clear()
+            regime_asymptotics(lam, lam, "fixed-M", cap)
+            assert asked == [n], (n, cap)
+            for regime in ("M=N", "M=xiN"):
+                asked.clear()
+                regime_asymptotics(lam, lam, regime, cap)
+                assert asked == ([cap - n] if cap >= 2 * n else []), (
+                    n, regime, cap)
+    asked.clear()
+    regime_asymptotics((2,), (2, 1), "M=N", 6)  # a selection-rule zero
+    assert asked == []
+
+
+@pytest.mark.parametrize("args, error, message", [
+    (((2,), (2,), "M=2N", 1), ValueError,
+     "regime must be one of ('fixed-M', 'M=N', 'M=xiN')"),
+    (((2,), (2,), "M=N", 1), ValueError,
+     "cap 1 is below the leading order u^2"),
+    (((2,), (3,), "fixed-M", 1), ValueError,
+     "cap 1 is below the leading order u^2"),
+    (((2,), (2,), "M=xiN", 4.0), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (((), (), "fixed-M", None), ValueError,
+     "need at least one external factor"),
+    (((), (), "M=N", None), ValueError,
+     "need at least one external factor"),
+])
+def test_bad_regime_queries_fail_as_before(args, error, message):
+    with pytest.raises(error) as caught:
+        regime_asymptotics(*args)
+    assert str(caught.value) == message

@@ -4,7 +4,9 @@ The frozen coefficient tuples below are cross-checked inside this file by
 counting arguments (total term counts, degree bounds, Catalan leading
 coefficients) rather than trusted blindly, and the enumeration kernel is
 checked term by term against a brute-force walk over every pairing, and
-stratum by stratum against the slot-number kernel in oracle.py.
+stratum by stratum against the slot-number kernel in oracle.py. Long
+rings, past the slot kernel's reach, are checked against oracle.py's
+Wishart moment recursions.
 """
 
 import collections
@@ -37,6 +39,8 @@ from oracle import (
     cycle_type,
     expand_classes,
     inverse,
+    ring_polynomial,
+    ring_value_at_one,
     slot_enumerate,
     trace_ties,
 )
@@ -719,3 +723,15 @@ def test_one_usable_cpu_starts_no_pool(fake_pool, monkeypatch):
                         raising=False)
     assert both(2) == serial
     assert sizes == [2, 2]
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_long_rings_follow_the_wishart_moment_recursions(beta):
+    # one ring of k internal factors at n = 1; ring_polynomial never pairs
+    # a slot, so this reaches F = 41, past the slot oracle's F <= 10
+    for k in range(2, 41):
+        classes = get_diagram_sum(beta, 1, (k,)).classes
+        assert [poly.coeffs for _, poly in classes] == [
+            ring_polynomial(beta, k)], (beta, k)
+        if beta == 1:
+            assert classes[0][1].eval_at(1) == ring_value_at_one(k)
